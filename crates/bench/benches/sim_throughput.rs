@@ -525,6 +525,18 @@ fn bench_fig5_sweep(scale: u64) -> EngineResult {
     result
 }
 
+/// Opens a bench client connection as a (reader, writer) pair. The clients
+/// pipeline small request lines, so they run with `TCP_NODELAY` like the
+/// server does: no write waits on the previous one's ACK.
+fn connect_client(
+    addr: std::net::SocketAddr,
+) -> (std::io::BufReader<std::net::TcpStream>, std::net::TcpStream) {
+    let stream = std::net::TcpStream::connect(addr).expect("connect bench client");
+    stream.set_nodelay(true).expect("set TCP_NODELAY");
+    let reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
+    (reader, stream)
+}
+
 /// The sweep service end to end: concurrent clients run identical sweeps
 /// against one server over TCP, so almost all of the nominal workload is
 /// served from the shared tier's single-flight memos — that sharing *is*
@@ -577,11 +589,7 @@ fn bench_sweep_service(scale: u64, format: TraceFormat) -> EngineResult {
             let clients: Vec<_> = (0..CLIENTS)
                 .map(|_| {
                     scope.spawn(|| {
-                        let stream =
-                            std::net::TcpStream::connect(addr).expect("connect bench client");
-                        let mut reader =
-                            std::io::BufReader::new(stream.try_clone().expect("clone stream"));
-                        let mut writer = stream;
+                        let (mut reader, mut writer) = connect_client(addr);
                         let mut served = 0u64;
                         for _ in 0..SWEEPS_PER_CLIENT {
                             writeln!(
@@ -723,9 +731,7 @@ fn bench_sweep_service_multiproc(scale: u64, format: TraceFormat) -> EngineResul
         (SERVERS * CLIENTS_PER_SERVER * SWEEPS_PER_CLIENT) as u64 * (points + 1) * per_run;
 
     let run_sweeps = |addr: std::net::SocketAddr| {
-        let stream = std::net::TcpStream::connect(addr).expect("connect bench client");
-        let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
-        let mut writer = stream;
+        let (mut reader, mut writer) = connect_client(addr);
         let mut served = 0u64;
         for _ in 0..SWEEPS_PER_CLIENT {
             writeln!(
@@ -768,9 +774,7 @@ fn bench_sweep_service_multiproc(scale: u64, format: TraceFormat) -> EngineResul
     let mut misses = 0u64;
     let mut requests = 0u64;
     for &addr in &addrs {
-        let stream = std::net::TcpStream::connect(addr).expect("connect for health");
-        let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
-        let mut writer = stream;
+        let (mut reader, mut writer) = connect_client(addr);
         writeln!(writer, r#"{{"req":"health"}}"#).expect("send health");
         let mut line = String::new();
         reader.read_line(&mut line).expect("read health");

@@ -34,7 +34,12 @@
 //!   disconnect — and a per-connection request quota
 //!   ([`ServeConfig::max_requests_per_conn`], `RESCACHE_SERVE_QUOTA`) caps
 //!   what any one connection may ask before being closed with a typed
-//!   `quota_exhausted` error.
+//!   `quota_exhausted` error;
+//! * every accepted connection runs with `TCP_NODELAY`, so a streamed
+//!   response line leaves as soon as it is written instead of waiting out
+//!   the client's delayed ACK. What a streamed result still waits for is
+//!   the mid-sweep poll for cancels before each line (about 7.5 ms on a
+//!   quiet client; see `POLL_FAST`).
 //!
 //! # Protocol
 //!
@@ -103,9 +108,12 @@ pub const DEFAULT_MAX_LINE_BYTES: usize = 64 * 1024;
 const SHUTDOWN_POLL: Duration = Duration::from_millis(100);
 
 /// The socket timeout of a mid-sweep *poll* for interleaved lines (cancel
-/// requests, pipelined follow-ups, or the client vanishing): short enough
-/// that a quiet client costs ~1 ms per streamed result, long enough that a
-/// cancel sent right after a result line is seen before the next one.
+/// requests, pipelined follow-ups, or the client vanishing): long enough
+/// that a cancel sent right after a result line is seen before the next
+/// one. The kernel rounds `SO_RCVTIMEO` up to scheduler ticks, so one poll
+/// of a quiet client measures about 7.5 ms, not 1 ms (a 10 µs value
+/// measured no faster); that wait, once per streamed result, is the
+/// service's remaining per-result latency floor.
 const POLL_FAST: Duration = Duration::from_millis(1);
 
 /// The address the sweep service binds when `RESCACHE_SERVE_ADDR` is unset.
@@ -122,8 +130,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Requests one connection may make before it is closed with a typed
     /// `quota_exhausted` error; `0` means unlimited. Counts every accepted
-    /// request line (including oversized ones), so a hostile or runaway
-    /// client cannot monopolise the tier indefinitely.
+    /// request line (including oversized ones, and cancels consumed while a
+    /// sweep streams), so a hostile or runaway client cannot monopolise the
+    /// tier indefinitely.
     pub max_requests_per_conn: usize,
 }
 
@@ -442,13 +451,15 @@ impl LineReader {
 }
 
 /// Per-connection state: the buffered stream pair, the incremental line
-/// scanner, and any request lines the client pipelined while a sweep was
-/// streaming (dispatched in arrival order once the sweep finishes).
+/// scanner, any request lines the client pipelined while a sweep was
+/// streaming (dispatched in arrival order once the sweep finishes), and the
+/// count of request lines accepted against the quota.
 struct Conn<'a> {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     lines: LineReader,
     pending: VecDeque<String>,
+    accepted: usize,
     config: &'a ServeConfig,
     handle: &'a ServerHandle,
 }
@@ -484,6 +495,39 @@ impl Conn<'_> {
         restored?;
         Ok(outcome)
     }
+
+    /// Counts one accepted request line — toward the tier's `requests`
+    /// counter and this connection's [`ServeConfig::max_requests_per_conn`]
+    /// — wherever it is consumed, between requests or mid-sweep. Returns
+    /// `false` once the quota is exceeded, after answering the line (whose
+    /// `id` only a refusal needs) with the typed `quota_exhausted` error;
+    /// the caller then closes the connection.
+    fn admit(&mut self, runner: &Runner, id: impl FnOnce() -> Json) -> std::io::Result<bool> {
+        runner.trace_store().tier().health().note_request();
+        self.accepted += 1;
+        let quota = self.config.max_requests_per_conn;
+        if quota > 0 && self.accepted > quota {
+            write_line(&mut self.writer, &quota_response(id(), quota))?;
+            return Ok(false);
+        }
+        Ok(true)
+    }
+}
+
+/// Sets up an accepted connection's socket options, all in one place:
+///
+/// * `TCP_NODELAY` — every response line is flushed as soon as it is
+///   rendered, and a sweep or `dynamic` stream writes many small lines in
+///   a row. Under Nagle's algorithm (RFC 896) each small write after the
+///   first waits for the peer's ACK, which a delayed-ACK peer (RFC 1122)
+///   holds back for up to tens of milliseconds — a stall per response
+///   that has nothing to do with the work;
+/// * the [`SHUTDOWN_POLL`] read timeout — reads poll so a shutdown drains
+///   even past idle clients; the timeout never surfaces to the protocol
+///   ([`LineReader`] absorbs it).
+fn configure_stream(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(SHUTDOWN_POLL))
 }
 
 /// Serves one client connection: read a request line, dispatch, repeat
@@ -494,43 +538,24 @@ fn serve_connection(
     config: &ServeConfig,
     handle: &ServerHandle,
 ) -> std::io::Result<()> {
-    // Reads poll so a shutdown drains even past idle clients; the timeout
-    // never surfaces to the protocol (LineReader absorbs it).
-    stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
+    configure_stream(&stream)?;
     let mut conn = Conn {
         reader: BufReader::new(stream.try_clone()?),
         writer: BufWriter::new(stream),
         lines: LineReader::default(),
         pending: VecDeque::new(),
+        accepted: 0,
         config,
         handle,
     };
-    let mut accepted: usize = 0;
     loop {
-        let outcome = conn.next_request()?;
-        let quota = config.max_requests_per_conn;
-        let over_quota = |accepted: &mut usize| {
-            *accepted += 1;
-            quota > 0 && *accepted > quota
-        };
-        let line = match outcome {
+        let line = match conn.next_request()? {
             LineOutcome::Eof | LineOutcome::Quiet => return Ok(()),
             LineOutcome::Oversized => {
-                runner.trace_store().tier().health().note_request();
-                if over_quota(&mut accepted) {
-                    write_line(&mut conn.writer, &quota_response(Json::Null, quota))?;
+                if !conn.admit(runner, || Json::Null)? {
                     return Ok(());
                 }
-                write_line(
-                    &mut conn.writer,
-                    &error_response(
-                        Json::Null,
-                        &format!(
-                            "request line exceeds {} bytes; line skipped",
-                            config.max_line_bytes
-                        ),
-                    ),
-                )?;
+                write_line(&mut conn.writer, &oversized_response(config))?;
                 continue;
             }
             LineOutcome::Line(line) => line,
@@ -538,13 +563,13 @@ fn serve_connection(
         if line.trim().is_empty() {
             continue;
         }
-        runner.trace_store().tier().health().note_request();
-        if over_quota(&mut accepted) {
-            let id = Json::parse(&line)
+        let request_id = || {
+            Json::parse(&line)
                 .ok()
                 .and_then(|request| request.get("id").cloned())
-                .unwrap_or(Json::Null);
-            write_line(&mut conn.writer, &quota_response(id, quota))?;
+                .unwrap_or(Json::Null)
+        };
+        if !conn.admit(runner, request_id)? {
             return Ok(());
         }
         match dispatch(runner, &line, &mut conn)? {
@@ -566,8 +591,8 @@ fn serve_connection(
 /// after a request.
 enum Flow {
     Continue,
-    /// The connection is done (client vanished mid-stream); close without
-    /// treating it as an I/O failure.
+    /// The connection is done (client vanished mid-stream, or its quota ran
+    /// out mid-sweep); close without treating it as an I/O failure.
     Close,
     Shutdown,
 }
@@ -818,30 +843,29 @@ enum Control {
     Quiet,
     /// The client cancelled this sweep.
     Cancel,
-    /// The client is gone (EOF or connection error).
-    Disconnected,
+    /// The connection is ending: the client is gone (EOF or connection
+    /// error), or a line consumed mid-sweep exceeded the quota and was
+    /// refused.
+    Close,
 }
 
 /// Polls the connection between streamed sweep results: consumes everything
 /// the client pipelined, handling a `cancel` that names this sweep (and
-/// answering, mid-stream, cancels that name anything else), queueing other
-/// requests for dispatch after the sweep, and detecting a vanished client.
+/// answering, mid-stream, cancels that name anything else and oversized
+/// lines), queueing other requests for dispatch after the sweep, and
+/// detecting a vanished client. Every line consumed here counts toward the
+/// connection's quota, exactly as it would between requests.
 fn poll_control(runner: &Runner, conn: &mut Conn, sweep_id: &Json) -> Control {
     loop {
         match conn.poll_line() {
             Ok(LineOutcome::Quiet) => return Control::Quiet,
-            Ok(LineOutcome::Eof) | Err(_) => return Control::Disconnected,
+            Ok(LineOutcome::Eof) | Err(_) => return Control::Close,
             Ok(LineOutcome::Oversized) => {
-                runner.trace_store().tier().health().note_request();
-                let oversized = error_response(
-                    Json::Null,
-                    &format!(
-                        "request line exceeds {} bytes; line skipped",
-                        conn.config.max_line_bytes
-                    ),
-                );
-                if write_line(&mut conn.writer, &oversized).is_err() {
-                    return Control::Disconnected;
+                let oversized = oversized_response(conn.config);
+                match conn.admit(runner, || Json::Null) {
+                    Ok(true) if write_line(&mut conn.writer, &oversized).is_ok() => {}
+                    // Refused over quota, or the client is gone.
+                    _ => return Control::Close,
                 }
             }
             Ok(LineOutcome::Line(line)) => {
@@ -850,8 +874,10 @@ fn poll_control(runner: &Runner, conn: &mut Conn, sweep_id: &Json) -> Control {
                 }
                 if let Ok(request) = Json::parse(&line) {
                     if request.get("req").and_then(Json::as_str) == Some("cancel") {
-                        runner.trace_store().tier().health().note_request();
                         let cancel_id = request.get("id").cloned().unwrap_or(Json::Null);
+                        if !matches!(conn.admit(runner, || cancel_id.clone()), Ok(true)) {
+                            return Control::Close;
+                        }
                         if cancel_id == *sweep_id {
                             return Control::Cancel;
                         }
@@ -862,7 +888,7 @@ fn poll_control(runner: &Runner, conn: &mut Conn, sweep_id: &Json) -> Control {
                             "no in-flight sweep with that id on this connection",
                         );
                         if write_line(&mut conn.writer, &unmatched).is_err() {
-                            return Control::Disconnected;
+                            return Control::Close;
                         }
                         continue;
                     }
@@ -882,9 +908,10 @@ fn poll_control(runner: &Runner, conn: &mut Conn, sweep_id: &Json) -> Control {
 /// best point under the request's objective (EDP by default).
 ///
 /// The connection is polled between result lines: a `cancel` naming this
-/// sweep's id — or the client disconnecting — stops the shared cursor, so
-/// the workers finish only the points already in flight and the sweep
-/// answers with a `kind:"cancelled"` line counting what was evaluated.
+/// sweep's id — or the client disconnecting, or a line past the quota —
+/// stops the shared cursor, so the workers finish only the points already
+/// in flight; a cancelled sweep then answers with a `kind:"cancelled"` line
+/// counting what was evaluated, and a closing connection just closes.
 fn serve_sweep(
     runner: &Runner,
     id: Json,
@@ -907,7 +934,7 @@ fn serve_sweep(
     let mut evaluated: Vec<(CachePoint, Measurement)> = Vec::with_capacity(points.len());
     let mut write_error = None;
     let mut cancelled = false;
-    let mut disconnected = false;
+    let mut closing = false;
     std::thread::scope(|scope| {
         let cursor = &cursor;
         for _ in 0..conn.config.workers.clamp(1, points.len().max(1)) {
@@ -928,65 +955,53 @@ fn serve_sweep(
         // Stream results in completion order; the done line carries the
         // summary, so clients needing sweep order key on (sets, ways).
         loop {
+            let received = match rx.recv_timeout(SHUTDOWN_POLL) {
+                Ok(result) => Some(result),
+                Err(mpsc::RecvTimeoutError::Timeout) => None,
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            };
             let streaming = |w: &Option<std::io::Error>, c: bool, d: bool| w.is_none() && !c && !d;
-            match rx.recv_timeout(SHUTDOWN_POLL) {
-                Ok((point, measurement)) => {
-                    evaluated.push((point, measurement));
-                    if streaming(&write_error, cancelled, disconnected) {
-                        // A cancel racing this result must win: check the
-                        // connection before writing the line.
-                        match poll_control(runner, conn, &id) {
-                            Control::Quiet => {}
-                            Control::Cancel => {
-                                cancelled = true;
-                                stop_cursor();
-                            }
-                            Control::Disconnected => {
-                                disconnected = true;
-                                stop_cursor();
-                            }
-                        }
+            // A cancel racing a result must win: check the connection
+            // before writing the line (and on every idle wait).
+            if streaming(&write_error, cancelled, closing) {
+                match poll_control(runner, conn, &id) {
+                    Control::Quiet => {}
+                    Control::Cancel => {
+                        cancelled = true;
+                        stop_cursor();
                     }
-                    if streaming(&write_error, cancelled, disconnected) {
-                        runner.trace_store().tier().health().note_served();
-                        if let Err(e) = write_line(
-                            &mut conn.writer,
-                            &result_response(id.clone(), Some(point), &measurement),
-                        ) {
-                            write_error = Some(e);
-                            stop_cursor();
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if streaming(&write_error, cancelled, disconnected) {
-                        match poll_control(runner, conn, &id) {
-                            Control::Quiet => {}
-                            Control::Cancel => {
-                                cancelled = true;
-                                stop_cursor();
-                            }
-                            Control::Disconnected => {
-                                disconnected = true;
-                                stop_cursor();
-                            }
-                        }
-                    }
-                    // A server shutdown mid-sweep also stops claiming new
-                    // points (the done line reports what was evaluated).
-                    if conn.handle.shutdown.load(Ordering::SeqCst) {
+                    Control::Close => {
+                        closing = true;
                         stop_cursor();
                     }
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+            let Some((point, measurement)) = received else {
+                // A server shutdown mid-sweep also stops claiming new
+                // points (the done line reports what was evaluated).
+                if conn.handle.shutdown.load(Ordering::SeqCst) {
+                    stop_cursor();
+                }
+                continue;
+            };
+            evaluated.push((point, measurement));
+            if streaming(&write_error, cancelled, closing) {
+                runner.trace_store().tier().health().note_served();
+                if let Err(e) = write_line(
+                    &mut conn.writer,
+                    &result_response(id.clone(), Some(point), &measurement),
+                ) {
+                    write_error = Some(e);
+                    stop_cursor();
+                }
             }
         }
     });
     if let Some(e) = write_error {
         return Err(e);
     }
-    if disconnected {
-        // Nothing left to write to — the in-flight results already drained
+    if closing {
+        // Nothing left to write — the in-flight results already drained
         // into the shared tier for the next client.
         return Ok(Flow::Close);
     }
@@ -1360,6 +1375,17 @@ fn error_response_coded(id: Json, code: &str, message: &str) -> Json {
     ])
 }
 
+/// The typed error an oversized request line gets (the line is skipped).
+fn oversized_response(config: &ServeConfig) -> Json {
+    error_response(
+        Json::Null,
+        &format!(
+            "request line exceeds {} bytes; line skipped",
+            config.max_line_bytes
+        ),
+    )
+}
+
 /// The `quota_exhausted` response a connection gets right before it closes.
 fn quota_response(id: Json, quota: usize) -> Json {
     error_response_coded(
@@ -1441,6 +1467,16 @@ mod tests {
             let expected: SocketAddr = expected.parse().unwrap();
             assert_eq!(wake_addr(bound), expected, "{bound}");
         }
+    }
+
+    #[test]
+    fn accepted_streams_run_without_nagle_and_poll_for_shutdown() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        configure_stream(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), Some(SHUTDOWN_POLL));
     }
 
     #[test]

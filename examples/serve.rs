@@ -67,6 +67,9 @@ fn demo() -> std::io::Result<()> {
     println!("demo server on {addr}");
 
     let stream = TcpStream::connect(addr)?;
+    // The demo pipelines small lines (a sweep, then its cancel); send each
+    // at once instead of behind the previous write's ACK.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut line = String::new();

@@ -17,7 +17,8 @@
 //!   disconnecting mid-stream) stops the shared point cursor: provably
 //!   fewer points are evaluated than the space offers.
 //! * **Quotas** — `ServeConfig::max_requests_per_conn` closes a connection
-//!   with a typed `quota_exhausted` error once exceeded.
+//!   with a typed `quota_exhausted` error once exceeded, counting the lines
+//!   a streaming sweep consumes (cancels) like any other request.
 //! * **Dynamic verb** — a `dynamic` request streams the controller's resize
 //!   decisions and its done line matches the in-process
 //!   `Runner::run_dynamic` bit-for-bit.
@@ -87,6 +88,9 @@ struct Client {
 impl Client {
     fn connect(addr: SocketAddr) -> Self {
         let writer = TcpStream::connect(addr).expect("connect");
+        // Requests are small pipelined lines (a sweep, then its cancels):
+        // send each at once rather than behind the previous one's ACK.
+        writer.set_nodelay(true).expect("set TCP_NODELAY");
         let reader = BufReader::new(writer.try_clone().expect("clone stream"));
         Self { reader, writer }
     }
@@ -562,6 +566,69 @@ fn client_disconnect_mid_sweep_stops_the_cursor() {
     assert!(
         (health.served as usize) < points + 1,
         "only written results count as served: {health:?}"
+    );
+
+    handle.stop();
+    join.join().expect("server thread exits cleanly");
+}
+
+#[test]
+fn cancels_consumed_mid_sweep_count_toward_the_quota() {
+    let tier = SharedTier::new(None, IoPolicy::none());
+    let config = ServeConfig {
+        max_requests_per_conn: 2,
+        ..single_worker_config()
+    };
+    let (addr, handle, join) = spawn_server_with(slow_sweep_config(), tier.clone(), config);
+    let points = selective_sets_points();
+
+    let mut client = Client::connect(addr);
+    client.send(r#"{"req":"sweep","id":1,"app":"ammp","org":"selective_sets"}"#);
+    let first = client.recv();
+    assert_eq!(kind(&first), "result", "{first:?}");
+    // Both cancels name no in-flight sweep, so the sweep's poll consumes
+    // them; the second is the connection's third request line.
+    client.send(r#"{"req":"cancel","id":999}"#);
+    client.send(r#"{"req":"cancel","id":998}"#);
+    let refused = loop {
+        let response = client.recv();
+        match response.get("id").and_then(Json::as_u64) {
+            Some(1) => assert_eq!(kind(&response), "result", "{response:?}"),
+            Some(999) => assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false)),
+            Some(998) => break response,
+            _ => panic!("unexpected response {response:?}"),
+        }
+    };
+    assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        refused.get("code").and_then(Json::as_str),
+        Some("quota_exhausted"),
+        "{refused:?}"
+    );
+    // The server parks the cursor, drains the in-flight point and closes.
+    let mut line = String::new();
+    let n = client
+        .reader
+        .read_line(&mut line)
+        .expect("read after quota");
+    assert_eq!(
+        n, 0,
+        "connection closed after quota exhaustion, got {line:?}"
+    );
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while handle.open_connections() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "sweep wound down after the refusal"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let health = tier.health_snapshot();
+    assert_eq!(health.requests, 3, "{health:?}");
+    assert!(
+        (health.misses as usize) < points + 1,
+        "the cursor stopped before the space was exhausted: {health:?}"
     );
 
     handle.stop();

@@ -28,9 +28,9 @@ pub struct RunnerConfig {
     /// Interval length (in cache accesses) of the dynamic resizing
     /// controller.
     pub dynamic_interval: u64,
-    /// Trace-format version the generated bit streams use. Part of every
-    /// trace and simulation memo key, and of the trace store's on-disk
-    /// entry names, so runs under different versions never share records.
+    /// Trace-format version the generated bit streams use. v3 is the only
+    /// format, so this names what a configuration's results are pinned to
+    /// rather than selecting anything.
     pub trace_format: TraceFormat,
     /// The scalar objective the best-configuration searches minimise and the
     /// dynamic controller steers by. EDP (the default) reproduces the paper;
@@ -69,41 +69,20 @@ impl RunnerConfig {
 
     /// [`RunnerConfig::paper`] with overrides from the environment variables
     /// `RESCACHE_WARMUP`, `RESCACHE_MEASURE`, `RESCACHE_SEED`,
-    /// `RESCACHE_INTERVAL`, `RESCACHE_TRACE_FORMAT` (`v1`/`v2`) and
-    /// `RESCACHE_OBJECTIVE` (`edp`/`ed2p`/`delay`; all optional), so bench
-    /// runs can be scaled — and pinned to a trace format or objective —
-    /// without recompiling.
+    /// `RESCACHE_INTERVAL` and `RESCACHE_OBJECTIVE` (`edp`/`ed2p`/`delay`;
+    /// all optional), so bench runs can be scaled — and pinned to an
+    /// objective — without recompiling. A value that does not parse warns
+    /// and keeps the default.
     pub fn from_env() -> Self {
         let mut cfg = Self::paper();
-        if let Some(v) = read_env("RESCACHE_WARMUP") {
-            cfg.warmup_instructions = v as usize;
-        }
-        if let Some(v) = read_env("RESCACHE_MEASURE") {
-            cfg.measure_instructions = v as usize;
-        }
-        if let Some(v) = read_env("RESCACHE_SEED") {
-            cfg.trace_seed = v;
-        }
-        if let Some(v) = read_env("RESCACHE_INTERVAL") {
-            cfg.dynamic_interval = v.max(1);
-        }
-        if let Ok(v) = std::env::var("RESCACHE_TRACE_FORMAT") {
-            match TraceFormat::from_tag(&v) {
-                Some(format) => cfg.trace_format = format,
-                None => eprintln!(
-                    "rescache: unknown RESCACHE_TRACE_FORMAT {v:?}; using {}",
-                    cfg.trace_format
-                ),
-            }
-        }
+        cfg.warmup_instructions =
+            read_env("RESCACHE_WARMUP", cfg.warmup_instructions as u64) as usize;
+        cfg.measure_instructions =
+            read_env("RESCACHE_MEASURE", cfg.measure_instructions as u64) as usize;
+        cfg.trace_seed = read_env("RESCACHE_SEED", cfg.trace_seed);
+        cfg.dynamic_interval = read_env("RESCACHE_INTERVAL", cfg.dynamic_interval).max(1);
         cfg.objective = Objective::from_env();
         cfg
-    }
-
-    /// Returns this configuration with the given trace-format version.
-    pub fn with_trace_format(mut self, format: TraceFormat) -> Self {
-        self.trace_format = format;
-        self
     }
 
     /// Returns this configuration with the given search objective.
@@ -119,8 +98,26 @@ impl Default for RunnerConfig {
     }
 }
 
-fn read_env(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
+/// Reads one numeric knob, keeping `default` when it is unset or — with a
+/// warning — when its value does not parse.
+fn read_env(name: &str, default: u64) -> u64 {
+    match std::env::var(name) {
+        Ok(raw) => parse_count(name, &raw, default).unwrap_or_else(|warning| {
+            eprintln!("{warning}");
+            default
+        }),
+        Err(_) => default,
+    }
+}
+
+/// Parses the value `raw` of knob `name` as an unsigned count (surrounding
+/// whitespace allowed). Anything else — suffixed forms such as `30k`
+/// included — is an error carrying the warning to print, which names the
+/// kept `default`.
+fn parse_count(name: &str, raw: &str, default: u64) -> Result<u64, String> {
+    raw.trim()
+        .parse()
+        .map_err(|_| format!("rescache: unparsable {name}={raw:?}; using {default}"))
 }
 
 /// Everything measured from one simulation of the measured region.
@@ -449,9 +446,7 @@ impl Runner {
             health.note_regeneration();
             let total = cfg.warmup_instructions + cfg.measure_instructions;
             let mut retry = StoreSource::Generated(Box::new(
-                TraceGenerator::new(app.clone(), cfg.trace_seed)
-                    .with_format(cfg.trace_format)
-                    .stream(total),
+                TraceGenerator::new(app.clone(), cfg.trace_seed).stream(total),
             ));
             return simulate(&mut retry);
         }
@@ -922,6 +917,21 @@ mod tests {
         // from_env falls back to the paper configuration when unset.
         let cfg = RunnerConfig::from_env();
         assert!(cfg.measure_instructions > 0);
+    }
+
+    #[test]
+    fn unparsable_run_lengths_warn_and_keep_the_default() {
+        assert_eq!(
+            parse_count("RESCACHE_MEASURE", "30000", 2_400_000),
+            Ok(30_000)
+        );
+        assert_eq!(parse_count("RESCACHE_SEED", " 7\n", 42), Ok(7));
+        for raw in ["30k", "", "-1", "3e4", "0x10"] {
+            let warning = parse_count("RESCACHE_MEASURE", raw, 2_400_000).unwrap_err();
+            assert!(warning.contains("RESCACHE_MEASURE"), "{warning}");
+            assert!(warning.contains(&format!("{raw:?}")), "{warning}");
+            assert!(warning.contains("2400000"), "{warning}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use rescache_cache::{HierarchyConfig, HierarchySnapshot, MemoryHierarchy};
 use rescache_cpu::hook::{NoopHook, SimHook};
 use rescache_cpu::{scalar, CpuConfig, SimResult, Simulator, LANE_BATCH};
 use rescache_testutil::{check_cases, TestRng};
-use rescache_trace::{spec, TraceFormat, TraceGenerator, TraceSource, CHUNK_RECORDS};
+use rescache_trace::{spec, TraceGenerator, TraceSource, CHUNK_RECORDS};
 
 /// A hook that folds every observation into a checksum, so hook-visible
 /// divergence (call count, committed index, or the cycle passed) is caught
@@ -179,30 +179,22 @@ fn batched_ooo_and_inorder_match_scalar_reference_at_batch_boundaries() {
 #[test]
 fn batched_engines_match_scalar_reference_on_streamed_sources() {
     // The streamed generator delivers true CHUNK_RECORDS-wide chunks, so this
-    // exercises the one-batch-per-chunk path (plus a trailing short chunk) —
-    // under both trace formats: the engines must be format-agnostic, and the
-    // v1 differential stays alive alongside the default.
+    // exercises the one-batch-per-chunk path (plus a trailing short chunk).
     let total = LANE_BATCH + LANE_BATCH / 2;
-    for format in TraceFormat::ALL {
-        let generator = TraceGenerator::new(spec::su2cor(), 7).with_format(format);
-        for config in [CpuConfig::base_out_of_order(), CpuConfig::base_in_order()] {
-            for warm in [0, 1, LANE_BATCH - 1, LANE_BATCH, LANE_BATCH + 1, total] {
-                let measure = total - warm;
-                for hooked in [false, true] {
-                    assert_equivalent(
-                        config,
-                        "su2cor",
-                        warm,
-                        measure,
-                        hooked,
-                        if format == TraceFormat::V1 {
-                            "stream-v1"
-                        } else {
-                            "stream-v2"
-                        },
-                        run_both(config, &generator.stream(total), warm, measure, hooked),
-                    );
-                }
+    let generator = TraceGenerator::new(spec::su2cor(), 7);
+    for config in [CpuConfig::base_out_of_order(), CpuConfig::base_in_order()] {
+        for warm in [0, 1, LANE_BATCH - 1, LANE_BATCH, LANE_BATCH + 1, total] {
+            let measure = total - warm;
+            for hooked in [false, true] {
+                assert_equivalent(
+                    config,
+                    "su2cor",
+                    warm,
+                    measure,
+                    hooked,
+                    "stream",
+                    run_both(config, &generator.stream(total), warm, measure, hooked),
+                );
             }
         }
     }
@@ -255,12 +247,7 @@ fn batched_engines_match_scalar_reference_on_arbitrary_splits() {
         let measure = total - warm;
         let seed = rng.next_u64();
         let name = profile.name;
-        let format = if rng.bool() {
-            TraceFormat::V2
-        } else {
-            TraceFormat::V1
-        };
-        let generator = TraceGenerator::new(profile, seed).with_format(format);
+        let generator = TraceGenerator::new(profile, seed);
         let trace = generator.generate(total);
         let config = if rng.below(2) == 0 {
             CpuConfig::base_out_of_order()

@@ -91,9 +91,9 @@ impl AddressStream {
             // The classification thresholds are hoisted out of the per-access
             // loop as exact fixed-point values: `chance_bits` decides
             // identically to the `next_f64()` comparisons it replaced (see
-            // its proof), so this stream's addresses are unchanged in every
-            // trace format — which is why it needs no format gate. The
-            // second threshold is built from the same rounded `f64` partial
+            // its proof), so this stream's addresses are unchanged by the
+            // move — which is why it needed no format bump. The second
+            // threshold is built from the same rounded `f64` partial
             // sum the original chained comparison used.
             sequential_bits: chance_bits(mix.sequential),
             in_set_bits: chance_bits(mix.sequential + mix.random_in_set),
@@ -193,8 +193,8 @@ mod tests {
     #[test]
     fn integer_thresholds_match_the_f64_classification_bit_for_bit() {
         // The original per-access draw, kept verbatim as the reference: the
-        // address stream is shared by every trace format, so the hoisted
-        // integer thresholds must reproduce it exactly — not statistically.
+        // hoisted integer thresholds replaced it without a format bump, so
+        // they must reproduce it exactly — not statistically.
         struct Reference {
             mix: AccessMix,
             stride: u64,

@@ -4,28 +4,13 @@
 //! Trace generation is deterministic but not free (it is the slowest single
 //! stage of a cold sweep), so multi-process experiment campaigns persist
 //! generated traces under `RESCACHE_TRACE_DIR` and replay them from disk.
-//! The v1/v2 container is deliberately simple — no compression, no seeking:
-//!
-//! ```text
-//! magic      8 bytes   b"RCTRACE" + version digit (b"RCTRACE1", b"RCTRACE2")
-//! name_len   4 bytes   u32 LE, at most MAX_NAME_BYTES
-//! name       n bytes   UTF-8 application name
-//! records    8 bytes   u64 LE total record count
-//! chunk*                repeated until `records` records have been read:
-//!   len      4 bytes   u32 LE records in this chunk (1 ..= CHUNK_RECORDS)
-//!   data     len × 12  encoded records (see `InstrRecord::encode`)
-//! ```
-//!
-//! The v3 container (`b"RCTRACE3"`) adds one `flags` byte after the magic
-//! and, when its compression bit is set (the default — see [`Compression`]
-//! and the `RESCACHE_STORE_COMPRESS` override), frames each chunk with an
-//! explicit byte length over a delta-compressed payload (see [`crate::compress`]
-//! internals for the per-record layout):
+//! The container frames delta-compressed record chunks (see
+//! [`crate::compress`] internals for the per-record layout):
 //!
 //! ```text
 //! magic      8 bytes   b"RCTRACE3"
-//! flags      1 byte    bit 0: chunks are delta compressed;
-//!                      any other bit set is UnsupportedFlags
+//! flags      1 byte    1 = chunks are delta compressed; any other value
+//!                      is UnsupportedFlags
 //! name_len   4 bytes   u32 LE, at most MAX_NAME_BYTES
 //! name       n bytes   UTF-8 application name
 //! records    8 bytes   u64 LE total record count
@@ -36,12 +21,9 @@
 //! ```
 //!
 //! The magic's trailing digit is the [`TraceFormat`] version of the records
-//! (which generation algorithm produced the bits — see [`crate::format`]).
-//! Every known version decodes; a reader that *expects* a particular
-//! version ([`TraceFileSource::open_expecting`]) rejects a mismatch with the
-//! typed [`CodecError::FormatMismatch`], and an unknown version digit is
-//! [`CodecError::UnsupportedVersion`] — mixed-version reads fail loudly and
-//! typed, never silently and never by panic.
+//! (see [`crate::format`]). A file with [`MAGIC_PREFIX`] but another version
+//! digit is [`CodecError::UnsupportedVersion`]; one without the prefix is
+//! [`CodecError::BadMagic`].
 //!
 //! Readers validate everything else they touch the same way and return a
 //! [`CodecError`] — never panic — on truncated, corrupt or foreign files, so
@@ -64,7 +46,7 @@ use std::path::Path;
 use crate::compress;
 use crate::faults::{IoPolicy, PolicedRead, PolicedWrite};
 use crate::format::TraceFormat;
-use crate::record::{InstrRecord, InvalidRecord, ENCODED_RECORD_BYTES};
+use crate::record::InstrRecord;
 use crate::source::{TraceSource, CHUNK_RECORDS};
 use crate::trace::Trace;
 
@@ -77,51 +59,9 @@ pub const MAGIC_PREFIX: [u8; 7] = *b"RCTRACE";
 /// Upper bound on the encoded application-name length.
 pub const MAX_NAME_BYTES: u32 = 4 * 1024;
 
-/// Chunk-payload encoding of a persisted v3 trace.
-///
-/// v1/v2 containers are always raw (their layout predates the flags byte);
-/// a v3 writer chooses per file, recording the choice in the header's flags
-/// byte so readers self-describe — the two encodings decode to identical
-/// records and identical chunk boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Compression {
-    /// Delta-compressed chunk payloads (the default): ≥2× smaller
-    /// files and record decode straight into the consumer's batch lanes.
-    #[default]
-    Delta,
-    /// Raw 12-byte records, framed exactly as the v1/v2 container.
-    Raw,
-}
-
-impl Compression {
-    /// Reads the `RESCACHE_STORE_COMPRESS` override used by the experiment
-    /// trace store: `0`, `off` or `raw` selects [`Compression::Raw`];
-    /// anything else — including unset — keeps the default
-    /// [`Compression::Delta`].
-    pub fn from_env() -> Self {
-        match std::env::var("RESCACHE_STORE_COMPRESS").as_deref() {
-            Ok("0") | Ok("off") | Ok("raw") => Compression::Raw,
-            _ => Compression::Delta,
-        }
-    }
-
-    /// The v3 header flags byte announcing this encoding.
-    fn flags(self) -> u8 {
-        match self {
-            Compression::Delta => 1,
-            Compression::Raw => 0,
-        }
-    }
-
-    /// Decodes a v3 header flags byte; `None` for any unknown bit.
-    fn from_flags(flags: u8) -> Option<Self> {
-        match flags {
-            0 => Some(Compression::Raw),
-            1 => Some(Compression::Delta),
-            _ => None,
-        }
-    }
-}
+/// The header flags byte of every written file: chunk payloads are delta
+/// compressed. The only value a reader accepts.
+const FLAGS_DELTA: u8 = 1;
 
 /// Error produced when decoding a persisted trace.
 #[derive(Debug)]
@@ -131,22 +71,15 @@ pub enum CodecError {
     /// The file does not start with [`MAGIC_PREFIX`] — not a rescache trace
     /// at all.
     BadMagic,
-    /// The magic names a trace-format version this build does not know.
+    /// The magic names a trace-format version other than the one this
+    /// build reads and writes — the retired versions 1 and 2 included.
     UnsupportedVersion {
         /// The unrecognized version byte from the magic.
         version: u8,
     },
-    /// The file is a valid trace of a *different* [`TraceFormat`] than the
-    /// reader asked for: the two bit streams must never mix, so the read is
-    /// rejected rather than silently served.
-    FormatMismatch {
-        /// The version the reader required.
-        expected: TraceFormat,
-        /// The version the file's magic carries.
-        found: TraceFormat,
-    },
-    /// The v3 header's flags byte sets a bit this build does not know —
-    /// a future encoding must be regenerated, not half-decoded.
+    /// The header's flags byte is not the delta-compressed encoding this
+    /// build writes — another encoding must be regenerated, not
+    /// half-decoded.
     UnsupportedFlags {
         /// The rejected flags byte.
         flags: u8,
@@ -171,8 +104,6 @@ pub enum CodecError {
     },
     /// A compressed chunk payload failed to decode.
     BadPayload(CorruptChunk),
-    /// A record payload failed to decode.
-    BadRecord(InvalidRecord),
     /// The file ended before the promised record count was delivered.
     Truncated {
         /// Records promised by the header.
@@ -191,10 +122,6 @@ impl fmt::Display for CodecError {
                 f,
                 "trace file has an unsupported format version byte {version:#04x}"
             ),
-            CodecError::FormatMismatch { expected, found } => write!(
-                f,
-                "trace file is format {found} but the reader requires {expected}"
-            ),
             CodecError::UnsupportedFlags { flags } => write!(
                 f,
                 "trace file header has unsupported flags byte {flags:#04x}"
@@ -211,7 +138,6 @@ impl fmt::Display for CodecError {
             CodecError::BadPayload(e) => {
                 write!(f, "trace file has a corrupt compressed chunk: {e}")
             }
-            CodecError::BadRecord(e) => write!(f, "trace file has a corrupt record: {e}"),
             CodecError::Truncated { expected, got } => write!(
                 f,
                 "trace file is truncated: expected {expected} records, decoded {got}"
@@ -224,7 +150,6 @@ impl std::error::Error for CodecError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CodecError::Io(e) => Some(e),
-            CodecError::BadRecord(e) => Some(e),
             CodecError::BadPayload(e) => Some(e),
             _ => None,
         }
@@ -243,64 +168,29 @@ impl From<io::Error> for CodecError {
     }
 }
 
-impl From<InvalidRecord> for CodecError {
-    fn from(e: InvalidRecord) -> Self {
-        CodecError::BadRecord(e)
-    }
-}
-
-/// Writes `trace` to `w` in the format described at module level, with the
-/// magic carrying the trace's own [`TraceFormat`] version.
+/// Writes `trace` to `w` in the format described at module level.
 ///
 /// # Errors
 ///
 /// Besides writer errors, returns `InvalidInput` for a trace whose name
 /// exceeds [`MAX_NAME_BYTES`] — a reader would reject such a file, so it
-/// must never be produced.
+/// must never be produced — and for a record the compressed payload cannot
+/// represent (see [`UnencodableRecord`]).
 pub fn write_trace<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
-    write_trace_opts(w, trace, Compression::default())
-}
-
-/// [`write_trace`] with an explicit chunk-payload [`Compression`] (only
-/// meaningful for v3 traces; v1/v2 containers are raw by definition).
-///
-/// # Errors
-///
-/// Everything [`write_trace`] reports, plus `InvalidInput` for a record the
-/// compressed payload cannot represent (see [`UnencodableRecord`]).
-pub fn write_trace_opts<W: Write>(
-    w: &mut W,
-    trace: &Trace,
-    compression: Compression,
-) -> io::Result<()> {
-    write_header(
-        w,
-        trace.format(),
-        compression,
-        trace.name(),
-        trace.len() as u64,
-    )?;
-    let mut chunks = ChunkWriter::new(trace.format(), compression);
+    write_header(w, trace.name(), trace.len() as u64)?;
+    let mut chunks = ChunkWriter::new();
     for chunk in trace.records().chunks(CHUNK_RECORDS) {
         chunks.write_chunk(w, chunk)?;
     }
     Ok(())
 }
 
-/// Writes the container header: magic, the v3 flags byte, name and record
-/// count. Shared by the materialized and streaming save paths so the two
-/// always produce byte-identical files.
-fn write_header<W: Write>(
-    w: &mut W,
-    format: TraceFormat,
-    compression: Compression,
-    name: &str,
-    records: u64,
-) -> io::Result<()> {
-    w.write_all(&format.magic())?;
-    if format == TraceFormat::V3 {
-        w.write_all(&[compression.flags()])?;
-    }
+/// Writes the container header: magic, flags byte, name and record count.
+/// Shared by the materialized and streaming save paths so the two always
+/// produce byte-identical files.
+fn write_header<W: Write>(w: &mut W, name: &str, records: u64) -> io::Result<()> {
+    w.write_all(&TraceFormat::V3.magic())?;
+    w.write_all(&[FLAGS_DELTA])?;
     let name = name.as_bytes();
     if name.len() as u64 > u64::from(MAX_NAME_BYTES) {
         return Err(io::Error::new(
@@ -317,33 +207,25 @@ fn write_header<W: Write>(
     Ok(())
 }
 
-/// Frames and writes record chunks in whichever encoding the header
-/// announced, reusing one scratch buffer across chunks.
+/// Compresses, frames and writes record chunks, reusing one scratch buffer
+/// across chunks.
 struct ChunkWriter {
-    compressed: bool,
     bytes: Vec<u8>,
 }
 
 impl ChunkWriter {
-    fn new(format: TraceFormat, compression: Compression) -> Self {
+    fn new() -> Self {
         Self {
-            compressed: format == TraceFormat::V3 && compression == Compression::Delta,
-            bytes: Vec::with_capacity(CHUNK_RECORDS * ENCODED_RECORD_BYTES),
+            bytes: Vec::with_capacity(CHUNK_RECORDS * compress::MAX_RECORD_BYTES),
         }
     }
 
     fn write_chunk<W: Write>(&mut self, w: &mut W, chunk: &[InstrRecord]) -> io::Result<()> {
         w.write_all(&(chunk.len() as u32).to_le_bytes())?;
         self.bytes.clear();
-        if self.compressed {
-            compress::encode_chunk(chunk, &mut self.bytes)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-            w.write_all(&(self.bytes.len() as u32).to_le_bytes())?;
-        } else {
-            for record in chunk {
-                self.bytes.extend_from_slice(&record.encode());
-            }
-        }
+        compress::encode_chunk(chunk, &mut self.bytes)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        w.write_all(&(self.bytes.len() as u32).to_le_bytes())?;
         w.write_all(&self.bytes)
     }
 }
@@ -357,8 +239,6 @@ impl ChunkWriter {
 pub struct ChunkedTraceReader<R: Read> {
     r: R,
     name: String,
-    format: TraceFormat,
-    compression: Compression,
     total: u64,
     delivered: u64,
     buf: Vec<InstrRecord>,
@@ -366,31 +246,26 @@ pub struct ChunkedTraceReader<R: Read> {
 }
 
 impl<R: Read> ChunkedTraceReader<R> {
-    /// Reads and validates the stream header. Any known [`TraceFormat`]
-    /// version is accepted and reported via [`ChunkedTraceReader::format`];
-    /// callers that require one specific version check it (or use
-    /// [`TraceFileSource::open_expecting`]).
+    /// Reads and validates the stream header.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] for a missing magic, an unknown format
-    /// version, an invalid name, or a reader failure.
+    /// Returns a [`CodecError`] for a missing magic, another format
+    /// version, an unknown flags byte, an invalid name, or a reader failure.
     pub fn new(mut r: R) -> Result<Self, CodecError> {
         let mut magic = [0u8; 8];
         read_exact_or_truncated(&mut r, &mut magic, 0, 0)?;
         if magic[..7] != MAGIC_PREFIX {
             return Err(CodecError::BadMagic);
         }
-        let format = TraceFormat::from_version_byte(magic[7])
-            .ok_or(CodecError::UnsupportedVersion { version: magic[7] })?;
-        let compression = if format == TraceFormat::V3 {
-            let mut flags = [0u8; 1];
-            read_exact_or_truncated(&mut r, &mut flags, 0, 0)?;
-            Compression::from_flags(flags[0])
-                .ok_or(CodecError::UnsupportedFlags { flags: flags[0] })?
-        } else {
-            Compression::Raw
-        };
+        if magic != TraceFormat::V3.magic() {
+            return Err(CodecError::UnsupportedVersion { version: magic[7] });
+        }
+        let mut flags = [0u8; 1];
+        read_exact_or_truncated(&mut r, &mut flags, 0, 0)?;
+        if flags[0] != FLAGS_DELTA {
+            return Err(CodecError::UnsupportedFlags { flags: flags[0] });
+        }
 
         let mut len4 = [0u8; 4];
         read_exact_or_truncated(&mut r, &mut len4, 0, 0)?;
@@ -409,8 +284,6 @@ impl<R: Read> ChunkedTraceReader<R> {
         Ok(Self {
             r,
             name,
-            format,
-            compression,
             total,
             delivered: 0,
             buf: Vec::new(),
@@ -421,17 +294,6 @@ impl<R: Read> ChunkedTraceReader<R> {
     /// The application name recorded in the header.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The [`TraceFormat`] version the header's magic carries.
-    pub fn format(&self) -> TraceFormat {
-        self.format
-    }
-
-    /// The chunk-payload encoding the header announced ([`Compression::Raw`]
-    /// for every v1/v2 file).
-    pub fn compression(&self) -> Compression {
-        self.compression
     }
 
     /// The total record count promised by the header.
@@ -474,13 +336,7 @@ impl<R: Read> ChunkedTraceReader<R> {
             out.clear();
             return Ok(0);
         }
-        let (len, byte_len) = read_chunk_frame(
-            &mut self.r,
-            self.compression,
-            self.total,
-            self.delivered,
-            remaining,
-        )?;
+        let (len, byte_len) = read_chunk_frame(&mut self.r, self.total, self.delivered, remaining)?;
         self.raw.resize(byte_len.max(self.raw.len()), 0);
         read_exact_or_truncated(
             &mut self.r,
@@ -489,7 +345,7 @@ impl<R: Read> ChunkedTraceReader<R> {
             self.delivered,
         )?;
         out.resize(len, InstrRecord::zeroed());
-        decode_payload_into(self.compression, &self.raw[..byte_len], &mut out[..])?;
+        compress::decode_chunk_into(&self.raw[..byte_len], &mut out[..])?;
         self.delivered += len as u64;
         Ok(len)
     }
@@ -517,13 +373,7 @@ impl<R: Read> ChunkedTraceReader<R> {
         if remaining == 0 {
             return Ok(0);
         }
-        let (len, byte_len) = read_chunk_frame(
-            &mut self.r,
-            self.compression,
-            self.total,
-            self.delivered,
-            remaining,
-        )?;
+        let (len, byte_len) = read_chunk_frame(&mut self.r, self.total, self.delivered, remaining)?;
         // Allocate lazily (bounded by what the file actually delivers) so a
         // corrupt record count cannot force an absurd up-front allocation.
         self.raw.resize(byte_len.max(self.raw.len()), 0);
@@ -533,10 +383,7 @@ impl<R: Read> ChunkedTraceReader<R> {
             self.total,
             self.delivered,
         )?;
-        match self.compression {
-            Compression::Raw => decode_raw_payload(&self.raw[..byte_len], len, out)?,
-            Compression::Delta => compress::decode_chunk(&self.raw[..byte_len], len, out)?,
-        }
+        compress::decode_chunk(&self.raw[..byte_len], len, out)?;
         self.delivered += len as u64;
         Ok(len)
     }
@@ -559,13 +406,7 @@ impl<'a> ChunkedTraceReader<&'a [u8]> {
         if remaining == 0 {
             return Ok(0);
         }
-        let (len, byte_len) = read_chunk_frame(
-            &mut self.r,
-            self.compression,
-            self.total,
-            self.delivered,
-            remaining,
-        )?;
+        let (len, byte_len) = read_chunk_frame(&mut self.r, self.total, self.delivered, remaining)?;
         let Some(payload) = self.r.get(..byte_len) else {
             return Err(CodecError::Truncated {
                 expected: self.total,
@@ -573,10 +414,7 @@ impl<'a> ChunkedTraceReader<&'a [u8]> {
             });
         };
         self.r = &self.r[byte_len..];
-        match self.compression {
-            Compression::Raw => decode_raw_payload(payload, len, out)?,
-            Compression::Delta => compress::decode_chunk(payload, len, out)?,
-        }
+        compress::decode_chunk(payload, len, out)?;
         self.delivered += len as u64;
         Ok(len)
     }
@@ -585,7 +423,7 @@ impl<'a> ChunkedTraceReader<&'a [u8]> {
     /// length, and payload presence — without decoding any records, returning
     /// each chunk's record count and its payload borrowed from the image.
     ///
-    /// This is the front half of [`read_trace`]: because v3 delta bases reset
+    /// This is the front half of [`read_trace`]: because delta bases reset
     /// per chunk, the frames it returns are independent decode units, so the
     /// load path can fan them out across worker threads.
     ///
@@ -600,13 +438,8 @@ impl<'a> ChunkedTraceReader<&'a [u8]> {
             if remaining == 0 {
                 return Ok(frames);
             }
-            let (len, byte_len) = read_chunk_frame(
-                &mut self.r,
-                self.compression,
-                self.total,
-                self.delivered,
-                remaining,
-            )?;
+            let (len, byte_len) =
+                read_chunk_frame(&mut self.r, self.total, self.delivered, remaining)?;
             // Copy the reference out of `self` so the payload borrows the
             // image's lifetime, not this call's borrow of the reader.
             let image: &'a [u8] = self.r;
@@ -623,12 +456,11 @@ impl<'a> ChunkedTraceReader<&'a [u8]> {
     }
 }
 
-/// Reads and validates one chunk's frame (record count, and for compressed
-/// payloads the directory's byte length), leaving `r` positioned at the
-/// payload. Shared by the staged and borrowed-image decode paths.
+/// Reads and validates one chunk's frame (record count and the
+/// directory's byte length), leaving `r` positioned at the payload. Shared
+/// by the staged and borrowed-image decode paths.
 fn read_chunk_frame<R: Read>(
     r: &mut R,
-    compression: Compression,
     total: u64,
     delivered: u64,
     remaining: u64,
@@ -639,64 +471,18 @@ fn read_chunk_frame<R: Read>(
     if len == 0 || len as usize > CHUNK_RECORDS || u64::from(len) > remaining {
         return Err(CodecError::BadChunk { len, remaining });
     }
-    let byte_len = match compression {
-        Compression::Raw => len as usize * ENCODED_RECORD_BYTES,
-        Compression::Delta => {
-            read_exact_or_truncated(r, &mut len4, total, delivered)?;
-            let byte_len = u32::from_le_bytes(len4);
-            // The payload bounds are a structural invariant (3 layout and
-            // head bytes plus two bounded delta fields per record);
-            // anything outside them
-            // means the chunk directory is lying, so reject before trusting
-            // it for an allocation or a read.
-            if (byte_len as usize) < compress::MIN_RECORD_BYTES * len as usize
-                || byte_len as usize > compress::MAX_RECORD_BYTES * len as usize
-            {
-                return Err(CodecError::BadChunkBytes { len, byte_len });
-            }
-            byte_len as usize
-        }
-    };
-    Ok((len as usize, byte_len))
-}
-
-/// Decodes a raw chunk payload (fixed 12-byte records) into `out` through a
-/// pre-sized slice — per-record `Vec` pushes keep the vector's bookkeeping
-/// hot in the loop; see [`compress::decode_chunk`] for the same discipline
-/// on the compressed path.
-fn decode_raw_payload(
-    payload: &[u8],
-    len: usize,
-    out: &mut Vec<InstrRecord>,
-) -> Result<(), CodecError> {
-    let start = out.len();
-    out.resize(start + len, InstrRecord::zeroed());
-    decode_payload_into(Compression::Raw, payload, &mut out[start..])
-}
-
-/// Decodes one chunk payload, in whichever encoding the header announced,
-/// into an exactly-sized slice of the final record vector. This is the unit
-/// of work of the parallel whole-trace load path: the frame walk hands each
-/// worker disjoint `(payload, slice)` pairs, so workers share nothing.
-fn decode_payload_into(
-    compression: Compression,
-    payload: &[u8],
-    out: &mut [InstrRecord],
-) -> Result<(), CodecError> {
-    match compression {
-        Compression::Raw => {
-            for (slot, encoded) in out
-                .iter_mut()
-                .zip(payload.chunks_exact(ENCODED_RECORD_BYTES))
-            {
-                let mut bytes = [0u8; ENCODED_RECORD_BYTES];
-                bytes.copy_from_slice(encoded);
-                *slot = InstrRecord::decode(&bytes)?;
-            }
-            Ok(())
-        }
-        Compression::Delta => compress::decode_chunk_into(payload, out).map_err(CodecError::from),
+    read_exact_or_truncated(r, &mut len4, total, delivered)?;
+    let byte_len = u32::from_le_bytes(len4);
+    // The payload bounds are a structural invariant (3 layout and head
+    // bytes plus two bounded delta fields per record); anything outside
+    // them means the chunk directory is lying, so reject before trusting it
+    // for an allocation or a read.
+    if (byte_len as usize) < compress::MIN_RECORD_BYTES * len as usize
+        || byte_len as usize > compress::MAX_RECORD_BYTES * len as usize
+    {
+        return Err(CodecError::BadChunkBytes { len, byte_len });
     }
+    Ok((len as usize, byte_len as usize))
 }
 
 /// Reads a trace from `r`, validating the format end to end.
@@ -722,18 +508,13 @@ pub fn read_trace<R: Read>(r: &mut R) -> Result<Trace, CodecError> {
 /// Exactly as [`read_trace`].
 pub fn read_trace_bytes(bytes: &[u8]) -> Result<Trace, CodecError> {
     let mut reader = ChunkedTraceReader::new(bytes)?;
-    let compression = reader.compression();
 
     // Pre-size the record vector from the header's claim, bounded by the
     // most records the image's bytes could possibly encode, so an honest
     // file never pays a growth copy and a lying record count cannot force
     // an absurd up-front allocation.
-    let min_record_bytes = match compression {
-        Compression::Raw => ENCODED_RECORD_BYTES,
-        Compression::Delta => compress::MIN_RECORD_BYTES,
-    };
     let claimed = usize::try_from(reader.total_records()).unwrap_or(usize::MAX);
-    let capacity = claimed.min(bytes.len() / min_record_bytes);
+    let capacity = claimed.min(bytes.len() / compress::MIN_RECORD_BYTES);
 
     let workers = decode_workers(claimed.div_ceil(CHUNK_RECORDS));
     if workers <= 1 {
@@ -743,11 +524,7 @@ pub fn read_trace_bytes(bytes: &[u8]) -> Result<Trace, CodecError> {
         // errors surface in stream order by construction.
         let mut records = Vec::with_capacity(capacity);
         while reader.next_chunk_into_borrowed(&mut records)? != 0 {}
-        return Ok(Trace::with_format(
-            reader.name().to_string(),
-            records,
-            reader.format(),
-        ));
+        return Ok(Trace::new(reader.name().to_string(), records));
     }
 
     read_trace_bytes_parallel(bytes, workers)
@@ -760,7 +537,6 @@ pub fn read_trace_bytes(bytes: &[u8]) -> Result<Trace, CodecError> {
 /// testable on single-core hosts, where [`decode_workers`] never exceeds 1.
 fn read_trace_bytes_parallel(bytes: &[u8], workers: usize) -> Result<Trace, CodecError> {
     let mut reader = ChunkedTraceReader::new(bytes)?;
-    let compression = reader.compression();
     // The record vector is sized from the *validated* frames — every
     // payload was checked to exist in the image — so a corrupt record
     // count cannot force an absurd up-front allocation.
@@ -798,7 +574,7 @@ fn read_trace_bytes_parallel(bytes: &[u8], workers: usize) -> Result<Trace, Code
     }
     if workers <= 1 {
         for (payload, out) in slices {
-            decode_payload_into(compression, payload, out)?;
+            compress::decode_chunk_into(payload, out)?;
         }
     } else {
         let per = slices.len().div_ceil(workers);
@@ -812,8 +588,8 @@ fn read_trace_bytes_parallel(bytes: &[u8], workers: usize) -> Result<Trace, Code
                 base += group.len();
                 handles.push(scope.spawn(move || {
                     for (i, (payload, out)) in group.into_iter().enumerate() {
-                        decode_payload_into(compression, payload, out)
-                            .map_err(|e| (group_base + i, e))?;
+                        compress::decode_chunk_into(payload, out)
+                            .map_err(|e| (group_base + i, CodecError::from(e)))?;
                     }
                     Ok(())
                 }));
@@ -837,11 +613,7 @@ fn read_trace_bytes_parallel(bytes: &[u8], workers: usize) -> Result<Trace, Code
             }
         })?;
     }
-    Ok(Trace::with_format(
-        reader.name().to_string(),
-        records,
-        reader.format(),
-    ))
+    Ok(Trace::new(reader.name().to_string(), records))
 }
 
 /// Worker-thread count for the parallel whole-trace decode: one worker per
@@ -895,9 +667,7 @@ pub struct TraceFileSource {
 
 impl TraceFileSource {
     /// Opens the trace at `path`, serving its first `take` records (`None` =
-    /// the whole file). Any known [`TraceFormat`] version is accepted; use
-    /// [`TraceFileSource::open_expecting`] when the caller's bit stream is
-    /// version-pinned.
+    /// the whole file).
     ///
     /// # Errors
     ///
@@ -940,44 +710,6 @@ impl TraceFileSource {
             chunk_pos: 0,
             fault: None,
         })
-    }
-
-    /// [`TraceFileSource::open`] that additionally requires the file to be
-    /// of the `expected` [`TraceFormat`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`TraceFileSource::open`] reports, plus
-    /// [`CodecError::FormatMismatch`] when the file is a valid trace of a
-    /// different version — a v1 entry must never quietly serve a v2 request
-    /// (or vice versa), because the two bit streams differ by design.
-    pub fn open_expecting(
-        path: &Path,
-        take: Option<usize>,
-        expected: TraceFormat,
-    ) -> Result<Self, CodecError> {
-        Self::open_expecting_with(path, take, expected, &IoPolicy::none())
-    }
-
-    /// [`TraceFileSource::open_expecting`] routed through `policy` (see
-    /// [`TraceFileSource::open_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`TraceFileSource::open_expecting`] reports, plus whatever
-    /// `policy` injects.
-    pub fn open_expecting_with(
-        path: &Path,
-        take: Option<usize>,
-        expected: TraceFormat,
-        policy: &IoPolicy,
-    ) -> Result<Self, CodecError> {
-        let source = Self::open_with(path, take, policy)?;
-        let found = source.format();
-        if found != expected {
-            return Err(CodecError::FormatMismatch { expected, found });
-        }
-        Ok(source)
     }
 
     /// The file this source replays (callers that detect a fault use it to
@@ -1030,10 +762,6 @@ impl TraceFileSource {
 impl TraceSource for TraceFileSource {
     fn name(&self) -> &str {
         self.reader.name()
-    }
-
-    fn format(&self) -> TraceFormat {
-        self.reader.format()
     }
 
     fn total_records(&self) -> usize {
@@ -1141,19 +869,7 @@ pub fn save_trace(path: &Path, trace: &Trace) -> io::Result<()> {
 
 /// [`save_trace`] with every filesystem operation routed through `policy`.
 pub fn save_trace_with(path: &Path, trace: &Trace, policy: &IoPolicy) -> io::Result<()> {
-    save_trace_opts(path, trace, policy, Compression::default())
-}
-
-/// [`save_trace_with`] with an explicit chunk-payload [`Compression`] — the
-/// variant the experiment trace store calls with
-/// [`Compression::from_env`].
-pub fn save_trace_opts(
-    path: &Path,
-    trace: &Trace,
-    policy: &IoPolicy,
-    compression: Compression,
-) -> io::Result<()> {
-    atomic_save(path, policy, |w| write_trace_opts(w, trace, compression))
+    atomic_save(path, policy, |w| write_trace(w, trace))
 }
 
 /// Drains `source` to `path` atomically, chunk by chunk: the streaming twin
@@ -1183,29 +899,13 @@ pub fn save_source_with<S: TraceSource>(
     source: &mut S,
     policy: &IoPolicy,
 ) -> io::Result<()> {
-    save_source_opts(path, source, policy, Compression::default())
-}
-
-/// [`save_source_with`] with an explicit chunk-payload [`Compression`] — the
-/// variant the experiment trace store calls with
-/// [`Compression::from_env`].
-///
-/// # Errors
-///
-/// Everything [`save_source_with`] reports.
-pub fn save_source_opts<S: TraceSource>(
-    path: &Path,
-    source: &mut S,
-    policy: &IoPolicy,
-    compression: Compression,
-) -> io::Result<()> {
     atomic_save(path, policy, |w| {
         let name = source.name().to_string();
         let promised = source.total_records() as u64;
-        write_header(w, source.format(), compression, &name, promised)?;
+        write_header(w, &name, promised)?;
 
         let mut written = 0u64;
-        let mut chunks = ChunkWriter::new(source.format(), compression);
+        let mut chunks = ChunkWriter::new();
         loop {
             let chunk = source.next_chunk();
             if chunk.is_empty() {
@@ -1264,22 +964,14 @@ mod tests {
         TraceGenerator::new(spec::compress(), 11).generate(n)
     }
 
-    /// A sample pinned to a specific format: the raw-layout byte-surgery
-    /// tests operate on v2 files, whose record offsets are fixed.
-    fn sample_with(n: usize, format: TraceFormat) -> Trace {
-        TraceGenerator::new(spec::compress(), 11)
-            .with_format(format)
-            .generate(n)
-    }
-
     fn encode(trace: &Trace) -> Vec<u8> {
         let mut bytes = Vec::new();
         write_trace(&mut bytes, trace).expect("vec writes cannot fail");
         bytes
     }
 
-    /// Byte offsets of each chunk header in a compressed v3 file, walked
-    /// via the chunk directory's explicit byte lengths.
+    /// Byte offsets of each chunk header in an encoded file, walked via the
+    /// chunk directory's explicit byte lengths.
     fn v3_chunk_offsets(bytes: &[u8], name_len: usize) -> Vec<usize> {
         let mut off = 9 + 4 + name_len + 8;
         let mut offsets = Vec::new();
@@ -1303,29 +995,22 @@ mod tests {
     }
 
     #[test]
-    fn both_format_versions_round_trip_and_are_preserved() {
-        for format in TraceFormat::ALL {
-            let trace = TraceGenerator::new(spec::compress(), 11)
-                .with_format(format)
-                .generate(500);
-            assert_eq!(trace.format(), format);
-            let bytes = encode(&trace);
-            assert_eq!(&bytes[..8], &format.magic(), "magic carries the version");
-            let decoded = read_trace(&mut bytes.as_slice()).expect("round trip");
-            assert_eq!(decoded.format(), format);
-            assert_eq!(decoded, trace);
-        }
-    }
-
-    #[test]
     fn unknown_version_is_a_typed_error() {
-        let mut bytes = encode(&sample(100));
-        bytes[7] = b'9';
-        assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
-            Err(CodecError::UnsupportedVersion { version: b'9' })
-        ));
+        // The retired versions 1 and 2 and a future 9 all share the prefix
+        // but not the version digit.
+        for version in [b'1', b'2', b'9'] {
+            let mut bytes = encode(&sample(100));
+            bytes[7] = version;
+            assert!(
+                matches!(
+                    read_trace(&mut bytes.as_slice()),
+                    Err(CodecError::UnsupportedVersion { version: v }) if v == version
+                ),
+                "version byte {version:#04x}"
+            );
+        }
         // A broken prefix is still BadMagic, not UnsupportedVersion.
+        let mut bytes = encode(&sample(100));
         bytes[0] ^= 0xff;
         assert!(matches!(
             read_trace(&mut bytes.as_slice()),
@@ -1335,38 +1020,25 @@ mod tests {
 
     #[test]
     fn mixed_version_open_is_rejected_with_a_typed_error() {
+        // A file of another version at a path the caller expects to hold a
+        // current trace: opening it is a typed rejection, never a panic or
+        // a silently different stream.
         let dir = std::env::temp_dir().join(format!("rescache-codec-mixed-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create temp dir");
-        for (written, requested) in [
-            (TraceFormat::V1, TraceFormat::V2),
-            (TraceFormat::V2, TraceFormat::V1),
-        ] {
-            let path = dir.join(format!("{written}.rctrace"));
-            let trace = TraceGenerator::new(spec::compress(), 11)
-                .with_format(written)
-                .generate(300);
-            save_trace(&path, &trace).expect("save");
-            // The matching expectation opens fine...
-            let src = TraceFileSource::open_expecting(&path, None, written).expect("same version");
-            assert_eq!(src.format(), written);
-            // ...the mixed one is a typed rejection, not a panic or a
-            // silently-wrong stream.
-            let err = TraceFileSource::open_expecting(&path, None, requested).unwrap_err();
+        let path = dir.join("entry.rctrace");
+        let mut bytes = encode(&sample(300));
+        for version in [b'1', b'2'] {
+            bytes[7] = version;
+            std::fs::write(&path, &bytes).expect("plant entry");
+            let err = TraceFileSource::open(&path, None).unwrap_err();
             assert!(
-                matches!(
-                    err,
-                    CodecError::FormatMismatch { expected, found }
-                        if expected == requested && found == written
-                ),
-                "{written}->{requested}: {err}"
+                matches!(err, CodecError::UnsupportedVersion { version: v } if v == version),
+                "version byte {version:#04x}: {err}"
             );
-            // The version-agnostic open still works and reports the version.
-            assert_eq!(
-                TraceFileSource::open(&path, None)
-                    .expect("any version")
-                    .format(),
-                written
-            );
+            assert!(matches!(
+                load_trace(&path),
+                Err(CodecError::UnsupportedVersion { .. })
+            ));
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1414,30 +1086,21 @@ mod tests {
 
     #[test]
     fn corrupt_record_tag_is_an_error() {
-        let trace = sample_with(100, TraceFormat::V2);
+        // The first record's head follows its layout byte at the start of
+        // the first chunk's payload; its low three bits are the operation
+        // tag, and 7 names no operation.
+        let trace = sample(100);
         let mut bytes = encode(&trace);
-        // Locate the first record's tag byte: magic(8) + name_len(4) +
-        // name + count(8) + chunk_len(4) + 8 bytes into the record.
-        let offset = 8 + 4 + trace.name().len() + 8 + 4 + 8;
-        bytes[offset] = 0xee;
+        let chunk = v3_chunk_offsets(&bytes, trace.name().len())[0];
+        bytes[chunk + 9] |= 0x07;
         assert!(matches!(
             read_trace(&mut bytes.as_slice()),
-            Err(CodecError::BadRecord(_))
+            Err(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
         ));
     }
 
     #[test]
     fn impossible_chunk_header_is_an_error() {
-        // Raw v2 layout: the chunk length field directly follows the count.
-        let trace = sample_with(100, TraceFormat::V2);
-        let mut bytes = encode(&trace);
-        let chunk_header = 8 + 4 + trace.name().len() + 8;
-        bytes[chunk_header..chunk_header + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
-            Err(CodecError::BadChunk { .. })
-        ));
-        // Compressed v3 layout: same rejection, one flags byte later.
         let trace = sample(100);
         let mut bytes = encode(&trace);
         let chunk_header = v3_chunk_offsets(&bytes, trace.name().len())[0];
@@ -1482,19 +1145,13 @@ mod tests {
 
     #[test]
     fn oversized_name_is_an_error() {
-        // The name-length field sits at 8 in v1/v2 and at 9 in v3 (after
-        // the flags byte); both containers must reject an absurd value.
-        for (bytes, offset) in [
-            (encode(&sample_with(10, TraceFormat::V2)), 8usize),
-            (encode(&sample(10)), 9),
-        ] {
-            let mut bytes = bytes;
-            bytes[offset..offset + 4].copy_from_slice(&(MAX_NAME_BYTES + 1).to_le_bytes());
-            assert!(matches!(
-                read_trace(&mut bytes.as_slice()),
-                Err(CodecError::BadName)
-            ));
-        }
+        // The name-length field follows the magic and the flags byte.
+        let mut bytes = encode(&sample(10));
+        bytes[9..13].copy_from_slice(&(MAX_NAME_BYTES + 1).to_le_bytes());
+        assert!(matches!(
+            read_trace(&mut bytes.as_slice()),
+            Err(CodecError::BadName)
+        ));
     }
 
     #[test]
@@ -1525,7 +1182,7 @@ mod tests {
             std::env::temp_dir().join(format!("rescache-codec-prefix-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create temp dir");
         let path = dir.join("compress.rctrace");
-        let trace = sample_with(2 * CHUNK_RECORDS + 100, TraceFormat::V2);
+        let trace = sample(2 * CHUNK_RECORDS + 100);
         save_trace(&path, &trace).expect("save");
 
         let drain_prefix = |n: usize| {
@@ -1546,15 +1203,21 @@ mod tests {
         let n = CHUNK_RECORDS + 17;
         assert_eq!(drain_prefix(n), &trace.records()[..n]);
 
-        // Corruption *beyond* the requested prefix is never read: flip a
-        // record tag in the last chunk and the prefix still serves cleanly.
+        // Corruption *beyond* the requested prefix is never read: set a
+        // reserved head bit in the last chunk's payload and the prefix still
+        // serves cleanly.
         let mut bytes = std::fs::read(&path).expect("read");
-        let tail_record = bytes.len() - ENCODED_RECORD_BYTES + 8;
-        bytes[tail_record] = 0xee;
+        let last = *v3_chunk_offsets(&bytes, trace.name().len())
+            .last()
+            .expect("chunks");
+        bytes[last + 10] |= 0x80;
         std::fs::write(&path, &bytes).expect("corrupt tail");
         assert_eq!(drain_prefix(n), &trace.records()[..n]);
         // ... but the full load now fails.
-        assert!(matches!(load_trace(&path), Err(CodecError::BadRecord(_))));
+        assert!(matches!(
+            load_trace(&path),
+            Err(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1625,15 +1288,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rescache-codec-fault-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create temp dir");
         let path = dir.join("compress.rctrace");
-        let trace = sample_with(2 * CHUNK_RECORDS, TraceFormat::V2);
+        let trace = sample(2 * CHUNK_RECORDS);
         save_trace(&path, &trace).expect("save");
 
         // Corrupt a record tag in the second chunk: the source delivers the
         // first chunk, then faults and under-delivers.
         let mut bytes = std::fs::read(&path).expect("read");
-        let second_chunk_record =
-            8 + 4 + trace.name().len() + 8 + 4 + CHUNK_RECORDS * ENCODED_RECORD_BYTES + 4 + 8;
-        bytes[second_chunk_record] = 0xee;
+        let second_chunk = v3_chunk_offsets(&bytes, trace.name().len())[1];
+        bytes[second_chunk + 9] |= 0x07;
         std::fs::write(&path, &bytes).expect("corrupt");
 
         let mut src = TraceFileSource::open(&path, None).expect("header is intact");
@@ -1646,7 +1308,10 @@ mod tests {
             delivered += chunk.len();
         }
         assert_eq!(delivered, CHUNK_RECORDS, "only the intact chunk arrives");
-        assert!(matches!(src.fault(), Some(CodecError::BadRecord(_))));
+        assert!(matches!(
+            src.fault(),
+            Some(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
+        ));
         // Once faulted, the source stays exhausted.
         assert!(src.next_chunk().is_empty());
         std::fs::remove_dir_all(&dir).ok();
@@ -1759,71 +1424,36 @@ mod tests {
     #[test]
     fn v3_default_is_compressed_and_at_least_halves_the_file() {
         let trace = sample(20_000);
-        assert_eq!(trace.format(), TraceFormat::V3);
         let bytes = encode(&trace);
         assert_eq!(&bytes[..8], b"RCTRACE3");
         assert_eq!(bytes[8], 1, "flags byte announces compression");
+        // At most half the 12-byte in-memory record per record.
         assert!(
-            bytes.len() * 2 <= trace.len() * ENCODED_RECORD_BYTES,
+            bytes.len() * 2 <= trace.len() * std::mem::size_of::<InstrRecord>(),
             "{} bytes for {} records is under 2x compression",
             bytes.len(),
             trace.len()
         );
         let mut reader = ChunkedTraceReader::new(bytes.as_slice()).expect("header");
-        assert_eq!(reader.compression(), Compression::Delta);
         let mut records = Vec::new();
         while reader.next_chunk_into(&mut records).expect("chunk") > 0 {}
         assert_eq!(records, trace.records());
     }
 
     #[test]
-    fn v3_raw_override_round_trips_the_same_records() {
-        let trace = sample(CHUNK_RECORDS + 500);
-        let mut raw = Vec::new();
-        write_trace_opts(&mut raw, &trace, Compression::Raw).expect("raw write");
-        assert_eq!(raw[8], 0, "flags byte announces raw chunks");
-        let decoded = read_trace(&mut raw.as_slice()).expect("raw round trip");
-        assert_eq!(decoded, trace);
-        assert_eq!(decoded.format(), TraceFormat::V3);
-        let compressed = encode(&trace);
-        assert!(
-            compressed.len() * 2 <= raw.len(),
-            "compressed {} vs raw {}",
-            compressed.len(),
-            raw.len()
-        );
-    }
-
-    #[test]
     fn unknown_flags_byte_is_a_typed_error() {
-        let mut bytes = encode(&sample(100));
-        bytes[8] = 0x82;
-        assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
-            Err(CodecError::UnsupportedFlags { flags: 0x82 })
-        ));
-    }
-
-    #[test]
-    fn compress_env_knob_parses_every_spelling() {
-        // No other test in this binary reads the knob, so the process-global
-        // mutation cannot race; the var is cleared again before returning.
-        for (value, expected) in [
-            (Some("0"), Compression::Raw),
-            (Some("off"), Compression::Raw),
-            (Some("raw"), Compression::Raw),
-            (Some("1"), Compression::Delta),
-            (Some("delta"), Compression::Delta),
-            (Some("anything-else"), Compression::Delta),
-            (None, Compression::Delta),
-        ] {
-            match value {
-                Some(v) => std::env::set_var("RESCACHE_STORE_COMPRESS", v),
-                None => std::env::remove_var("RESCACHE_STORE_COMPRESS"),
-            }
-            assert_eq!(Compression::from_env(), expected, "value {value:?}");
+        // 0 is the retired fixed-width encoding; 0x82 sets unknown bits.
+        for flags in [0u8, 0x82] {
+            let mut bytes = encode(&sample(100));
+            bytes[8] = flags;
+            assert!(
+                matches!(
+                    read_trace(&mut bytes.as_slice()),
+                    Err(CodecError::UnsupportedFlags { flags: f }) if f == flags
+                ),
+                "flags {flags:#04x}"
+            );
         }
-        std::env::remove_var("RESCACHE_STORE_COMPRESS");
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! wins back several times over. PCs walk basic blocks (deltas of a few
 //! instruction slots, occasionally a jump) and data addresses are dominated
 //! by strided and in-set accesses, so typical records cost 4–6 bytes
-//! against the raw encoding's fixed 12. The hard bounds are
+//! against the 12 of the in-memory record. The hard bounds are
 //! [`MIN_RECORD_BYTES`] and [`MAX_RECORD_BYTES`]; the container rejects
 //! chunk byte lengths outside them before reading the payload.
 //!
@@ -486,14 +486,10 @@ mod tests {
             encode_chunk(&[deep], &mut payload),
             Err(UnencodableRecord::DepTooLarge { dep: 64 })
         );
-        // A non-memory record with an address only arises from a foreign
-        // raw file; the encoder refuses rather than silently dropping it.
-        let stray = InstrRecord::decode(&{
-            let mut bytes = InstrRecord::new(0x400, Op::Int).encode();
-            bytes[4] = 1; // plant a stray address lane byte
-            bytes
-        })
-        .expect("raw decode does not police addresses");
+        // The constructors never put an address on a non-memory record; the
+        // encoder still refuses one rather than silently dropping it.
+        let mut stray = InstrRecord::new(0x400, Op::Int);
+        stray.set_addr_lane(1);
         assert_eq!(
             encode_chunk(&[stray], &mut payload),
             Err(UnencodableRecord::StrayAddress { kind: kind::INT })

@@ -1,103 +1,46 @@
-//! The [`TraceFormat`] version: which record-generation algorithm a trace's
-//! bits came from.
+//! The [`TraceFormat`] version: which record-generation algorithm and which
+//! on-disk container a trace's bits come from.
 //!
 //! Trace bytes are pinned artifacts: golden fixtures, on-disk store entries
 //! and cross-process sweeps all assume that the same `(profile, seed,
 //! length)` key always expands to the same records. Any change to the
 //! sampled bits therefore has to be a deliberate *format version bump*, not
-//! a silent behavioural drift. The version is carried end to end:
+//! a silent behavioural drift.
 //!
-//! * [`TraceGenerator`](crate::TraceGenerator) and
-//!   [`TraceStream`](crate::TraceStream) select the dependency-distance
-//!   sampler by format (v1: `ln`-based inverse transform; v2/v3:
-//!   table-driven inverse CDF — see [`crate::ilp::DistanceSampler`]) and the
-//!   instruction-mix draw (v1/v2: `f64` comparison; v3: fixed-point integer
-//!   thresholds — see [`crate::InstructionMix::thresholds`]);
-//! * the persisted codec writes a per-version magic
-//!   ([`TraceFormat::magic`]) and readers reject a version mismatch with a
-//!   typed error instead of silently mixing bit streams; the v3 container
-//!   additionally carries a flags byte and per-chunk byte-length directory
-//!   entries for the delta-compressed payload (see [`crate::codec`]);
-//! * the experiment trace store keys entries (and file names) by format, so
-//!   a v1 entry can never serve a v2 or v3 request.
-//!
-//! Only the dependency-distance bits differ between v1 and v2; v3 moves the
-//! mix draw from a 53-bit `f64` comparison to the full 64-bit fixed-point
-//! threshold (a finer quantization — the reason it is a version, not an
-//! optimization). The PC walk, address walk and branch outcomes are drawn
-//! from separate RNG sub-streams and are identical across all formats.
+//! v3 is the only format. Its generation path performs no `f64` operation
+//! per record: dependency distances come from a fixed-point inverse-CDF
+//! table (see [`crate::ilp::DistanceSampler`]) and the instruction-mix draw
+//! compares one raw 64-bit draw against fixed-point thresholds (see
+//! [`crate::InstructionMix::thresholds`]). On disk, the magic
+//! ([`TraceFormat::magic`]) is followed by a flags byte and delta-compressed
+//! chunks (see [`crate::codec`]). A file whose magic carries any other
+//! version digit — including the retired versions 1 and 2 — is rejected with
+//! the typed [`CodecError::UnsupportedVersion`](crate::CodecError::UnsupportedVersion), which the
+//! experiment trace store answers by regenerating the entry.
 
 use std::fmt;
 
 /// A trace-format version (see the module documentation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceFormat {
-    /// The original format: dependency distances drawn by the `ln`-based
-    /// inverse transform (`Prng::geometric_with_ln`), probabilities by `f64`
-    /// comparison. Kept selectable so pinned v1 artifacts stay reproducible.
-    V1,
-    /// Dependency distances drawn from a precomputed fixed-point inverse-CDF
-    /// table (no transcendental math per record), dependency probabilities
-    /// by integer threshold comparison; the instruction-mix draw still
-    /// compares `f64`s.
-    V2,
-    /// The current format: v2's table sampler plus an integer-threshold
-    /// instruction-mix draw — generation performs zero `f64` operations per
-    /// record. On disk, v3 entries use the compressed chunk container
-    /// (length-prefixed delta PCs and addresses; see [`crate::codec`]).
+    /// Table-driven dependency distances, an integer-threshold
+    /// instruction-mix draw and the delta-compressed chunk container.
     #[default]
     V3,
 }
 
 impl TraceFormat {
-    /// Every known format, oldest first.
-    pub const ALL: [TraceFormat; 3] = [TraceFormat::V1, TraceFormat::V2, TraceFormat::V3];
-
     /// The 8-byte file magic identifying this format on disk.
     pub fn magic(self) -> [u8; 8] {
         match self {
-            TraceFormat::V1 => *b"RCTRACE1",
-            TraceFormat::V2 => *b"RCTRACE2",
             TraceFormat::V3 => *b"RCTRACE3",
         }
     }
 
-    /// The numeric version (1-based).
-    pub fn version(self) -> u32 {
-        match self {
-            TraceFormat::V1 => 1,
-            TraceFormat::V2 => 2,
-            TraceFormat::V3 => 3,
-        }
-    }
-
-    /// Short tag used in file names, env overrides and JSON records.
+    /// Short tag used in store file names and JSON records.
     pub fn tag(self) -> &'static str {
         match self {
-            TraceFormat::V1 => "v1",
-            TraceFormat::V2 => "v2",
             TraceFormat::V3 => "v3",
-        }
-    }
-
-    /// Parses a [`TraceFormat::tag`]-style name (`"v1"`/`"1"`, `"v2"`/`"2"`,
-    /// `"v3"`/`"3"`).
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        match tag.trim() {
-            "v1" | "1" => Some(TraceFormat::V1),
-            "v2" | "2" => Some(TraceFormat::V2),
-            "v3" | "3" => Some(TraceFormat::V3),
-            _ => None,
-        }
-    }
-
-    /// Maps a magic's trailing version byte to a format, if known.
-    pub fn from_version_byte(byte: u8) -> Option<Self> {
-        match byte {
-            b'1' => Some(TraceFormat::V1),
-            b'2' => Some(TraceFormat::V2),
-            b'3' => Some(TraceFormat::V3),
-            _ => None,
         }
     }
 }
@@ -114,40 +57,12 @@ mod tests {
 
     #[test]
     fn default_is_the_newest_format() {
-        assert_eq!(TraceFormat::default(), TraceFormat::V3);
-        assert_eq!(*TraceFormat::ALL.last().unwrap(), TraceFormat::default());
-    }
-
-    #[test]
-    fn magics_are_distinct_and_share_the_prefix() {
-        for format in TraceFormat::ALL {
-            let magic = format.magic();
-            assert_eq!(&magic[..7], b"RCTRACE");
-            assert_eq!(TraceFormat::from_version_byte(magic[7]), Some(format));
-        }
-        assert_ne!(TraceFormat::V1.magic(), TraceFormat::V2.magic());
-        assert_ne!(TraceFormat::V2.magic(), TraceFormat::V3.magic());
-    }
-
-    #[test]
-    fn tags_round_trip() {
-        for format in TraceFormat::ALL {
-            assert_eq!(TraceFormat::from_tag(format.tag()), Some(format));
-            assert_eq!(format.to_string(), format.tag());
-        }
-        assert_eq!(TraceFormat::from_tag(" v1 "), Some(TraceFormat::V1));
-        assert_eq!(TraceFormat::from_tag("2"), Some(TraceFormat::V2));
-        assert_eq!(TraceFormat::from_tag("v3"), Some(TraceFormat::V3));
-        assert_eq!(TraceFormat::from_tag("v4"), None);
-        assert_eq!(TraceFormat::from_version_byte(b'4'), None);
-    }
-
-    #[test]
-    fn versions_are_ordered() {
-        assert!(TraceFormat::V1 < TraceFormat::V2);
-        assert!(TraceFormat::V2 < TraceFormat::V3);
-        assert_eq!(TraceFormat::V1.version(), 1);
-        assert_eq!(TraceFormat::V2.version(), 2);
-        assert_eq!(TraceFormat::V3.version(), 3);
+        let format = TraceFormat::default();
+        assert_eq!(format, TraceFormat::V3);
+        let magic = format.magic();
+        assert_eq!(&magic[..7], &crate::codec::MAGIC_PREFIX);
+        assert_eq!(magic[7], b'3');
+        assert_eq!(format.tag(), "v3");
+        assert_eq!(format.to_string(), format.tag());
     }
 }

@@ -14,11 +14,11 @@
 //! # Crate map
 //!
 //! * [`record`] — the [`InstrRecord`]/[`Op`] trace record types.
-//! * [`format`] — the [`TraceFormat`] version carried end to end.
+//! * [`format`] — the [`TraceFormat`] version the bits are pinned to.
 //! * [`trace`] — the [`Trace`] container and [`TraceStats`] summary.
 //! * [`source`] — [`TraceSource`]: pull-based chunked record delivery.
 //! * [`codec`] — length-prefixed binary persistence for traces, with
-//!   length-prefixed delta chunk compression in the v3 container.
+//!   length-prefixed delta chunk compression.
 //! * [`faults`] — [`IoPolicy`]: injectable filesystem I/O with deterministic
 //!   fault injection (`RESCACHE_FAULTS`) for recovery-path testing.
 //! * [`rng`] — a small deterministic pseudo-random number generator.
@@ -73,9 +73,7 @@ pub mod workload;
 pub use address::AddressStream;
 pub use branch::BranchBehavior;
 pub use code::CodeStream;
-pub use codec::{
-    ChunkedTraceReader, CodecError, Compression, CorruptChunk, TraceFileSource, UnencodableRecord,
-};
+pub use codec::{ChunkedTraceReader, CodecError, CorruptChunk, TraceFileSource, UnencodableRecord};
 pub use faults::{
     is_disk_full, is_transient, FaultInjector, FaultKind, FaultSpec, IoOp, IoPolicy, ScriptedFault,
 };

@@ -9,8 +9,8 @@
 /// most 1 is the constant 1 and consumes **no randomness**.
 ///
 /// Both [`Prng::geometric`] and the trace generator's
-/// [`DistanceSampler`](crate::ilp::DistanceSampler) (in every
-/// [`TraceFormat`](crate::TraceFormat)) short-circuit on this predicate; it
+/// [`DistanceSampler`](crate::ilp::DistanceSampler) short-circuit on this
+/// predicate; it
 /// lives here as the single definition so the two can never drift apart —
 /// a sampler that consumed randomness where `geometric` does not (or vice
 /// versa) would silently desynchronize every later draw of the stream.
@@ -38,8 +38,8 @@ pub fn geometric_is_constant(mean: f64) -> bool {
 /// per record (the generator's mix draws) hoist `chance_bits` out of the
 /// loop and compare [`Prng::next_bits53`] against it. Both consume exactly
 /// one [`Prng::next_u64`], so mixing the two styles never desynchronizes a
-/// stream — which is what lets the address stream use integer thresholds in
-/// *every* [`TraceFormat`](crate::TraceFormat) without a format bump.
+/// stream — which is what let the address stream move to integer
+/// thresholds without a [`TraceFormat`](crate::TraceFormat) bump.
 #[inline]
 pub fn chance_bits(p: f64) -> u64 {
     // 2^53 as an exactly representable f64; `as u64` saturates negatives
@@ -122,26 +122,13 @@ impl Prng {
     }
 
     /// Returns a geometrically distributed value with the given mean
-    /// (minimum 1). Used for dependency distances and burst lengths.
+    /// (minimum 1), drawn by inverse transform.
     pub fn geometric(&mut self, mean: f64) -> u64 {
         if geometric_is_constant(mean) {
             return 1;
         }
-        let p = 1.0 / mean;
-        self.geometric_with_ln((1.0 - p).ln())
-    }
-
-    /// [`Prng::geometric`] with the constant denominator `ln(1 - 1/mean)`
-    /// precomputed by the caller.
-    ///
-    /// The trace generator draws one or two geometric distances per
-    /// instruction; hoisting the denominator's `ln` out of the per-record
-    /// loop (see [`crate::ilp::DistanceSampler`]) removes half of the
-    /// transcendental math from the generation hot path while producing
-    /// bit-identical values.
-    pub fn geometric_with_ln(&mut self, ln_one_minus_p: f64) -> u64 {
         let u = self.next_f64().max(f64::MIN_POSITIVE);
-        let v = (u.ln() / ln_one_minus_p).floor() as u64;
+        let v = (u.ln() / (1.0 - 1.0 / mean).ln()).floor() as u64;
         v + 1
     }
 

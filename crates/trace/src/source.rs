@@ -31,7 +31,6 @@
 //! without delivering them. Both work across chunk boundaries for every
 //! implementation (property-tested in `tests/source_split_properties.rs`).
 
-use crate::format::TraceFormat;
 use crate::record::InstrRecord;
 use crate::trace::Trace;
 
@@ -54,12 +53,6 @@ pub const CHUNK_RECORDS: usize = 8 * 1024;
 pub trait TraceSource {
     /// The application name the records were generated from.
     fn name(&self) -> &str;
-
-    /// The [`TraceFormat`] version the records were generated under. A
-    /// persisting consumer ([`crate::codec::save_source`]) writes this as
-    /// the file's version magic, so streamed and materialized persists of
-    /// one producer agree byte for byte.
-    fn format(&self) -> TraceFormat;
 
     /// Total number of records this source yields over its lifetime.
     fn total_records(&self) -> usize;
@@ -114,10 +107,6 @@ impl TraceCursor {
 impl TraceSource for TraceCursor {
     fn name(&self) -> &str {
         self.trace.name()
-    }
-
-    fn format(&self) -> TraceFormat {
-        self.trace.format()
     }
 
     fn total_records(&self) -> usize {

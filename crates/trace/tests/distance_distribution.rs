@@ -1,18 +1,16 @@
-//! Distribution property tests for the dependency-distance sampler, under
-//! both trace formats.
+//! Distribution property tests for the table-driven dependency-distance
+//! sampler.
 //!
-//! The v2 (table-driven) sampler deliberately draws *different bits* than
-//! the v1 (`ln`-based) sampler, so the two are not compared draw-for-draw.
-//! What both must honour is the distribution contract of a capped geometric:
+//! The sampler must honour the distribution contract of a capped geometric:
 //! minimum 1, cap [`MAX_DISTANCE`], empirical mean and cap-mass within
 //! analytic tolerance — checked here for every ILP behaviour shipped by the
 //! SPEC profiles and the workload registry, plus randomized behaviours from
-//! `rescache-testutil`. The v2 inverse-CDF table additionally gets exact
+//! `rescache-testutil`. The inverse-CDF table additionally gets exact
 //! structural checks: monotone thresholds and a guide table consistent with
 //! the thresholds.
 
 use rescache_testutil::{check_cases, TestRng};
-use rescache_trace::{spec, IlpBehavior, Prng, TraceFormat, WorkloadRegistry, MAX_DISTANCE};
+use rescache_trace::{spec, IlpBehavior, Prng, WorkloadRegistry, MAX_DISTANCE};
 
 /// Every distinct ILP behaviour the workspace ships: the twelve SPEC-like
 /// profiles plus the workload registry's scenarios.
@@ -31,8 +29,8 @@ fn shipped_behaviors() -> Vec<(String, IlpBehavior)> {
 }
 
 /// Draws `n` capped distances through the sampler's public draw.
-fn draw_distances(behavior: IlpBehavior, format: TraceFormat, seed: u64, n: usize) -> Vec<u8> {
-    let sampler = behavior.sampler(format);
+fn draw_distances(behavior: IlpBehavior, seed: u64, n: usize) -> Vec<u8> {
+    let sampler = behavior.sampler();
     let mut rng = Prng::new(seed);
     (0..n).map(|_| sampler.draw(&mut rng)).collect()
 }
@@ -56,10 +54,10 @@ fn cap_mass(mean: f64) -> f64 {
     q.powi(i32::from(MAX_DISTANCE) - 1)
 }
 
-/// Asserts the distribution contract for one behaviour under one format.
-fn assert_distribution(label: &str, behavior: IlpBehavior, format: TraceFormat, seed: u64) {
+/// Asserts the distribution contract for one behaviour.
+fn assert_distribution(label: &str, behavior: IlpBehavior, seed: u64) {
     let n = 200_000;
-    let draws = draw_distances(behavior, format, seed, n);
+    let draws = draw_distances(behavior, seed, n);
 
     // Hard bounds: minimum 1 (a drawn distance is never "no dependency"),
     // cap at the record's 6-bit field.
@@ -72,10 +70,10 @@ fn assert_distribution(label: &str, behavior: IlpBehavior, format: TraceFormat, 
         sum += u64::from(d);
         at_cap += u64::from(d == MAX_DISTANCE);
     }
-    assert_eq!(min, 1, "{label} {format}: min distance must be 1");
+    assert_eq!(min, 1, "{label}: min distance must be 1");
     assert!(
         max <= MAX_DISTANCE,
-        "{label} {format}: cap {MAX_DISTANCE} exceeded ({max})"
+        "{label}: cap {MAX_DISTANCE} exceeded ({max})"
     );
 
     // Empirical mean vs the analytic capped mean. The standard error of the
@@ -87,7 +85,7 @@ fn assert_distribution(label: &str, behavior: IlpBehavior, format: TraceFormat, 
     let tolerance = (5.0 * behavior.mean_distance / (n as f64).sqrt()).max(0.02);
     assert!(
         (observed_mean - expected_mean).abs() < tolerance,
-        "{label} {format}: mean {observed_mean:.4} vs analytic {expected_mean:.4} (tol {tolerance:.4})"
+        "{label}: mean {observed_mean:.4} vs analytic {expected_mean:.4} (tol {tolerance:.4})"
     );
 
     // Tail: the mass the cap absorbs. Binomial 5-sigma tolerance plus an
@@ -97,16 +95,14 @@ fn assert_distribution(label: &str, behavior: IlpBehavior, format: TraceFormat, 
     let cap_tolerance = (5.0 * (expected_cap * (1.0 - expected_cap) / n as f64).sqrt()).max(5e-4);
     assert!(
         (observed_cap - expected_cap).abs() < cap_tolerance,
-        "{label} {format}: cap mass {observed_cap:.6} vs analytic {expected_cap:.6} (tol {cap_tolerance:.6})"
+        "{label}: cap mass {observed_cap:.6} vs analytic {expected_cap:.6} (tol {cap_tolerance:.6})"
     );
 }
 
 #[test]
 fn sampler_distribution_matches_analytic_for_every_shipped_behavior() {
     for (label, behavior) in shipped_behaviors() {
-        for format in TraceFormat::ALL {
-            assert_distribution(&label, behavior, format, 0xD15_7A11CE);
-        }
+        assert_distribution(&label, behavior, 0xD15_7A11CE);
     }
 }
 
@@ -119,33 +115,24 @@ fn sampler_distribution_holds_for_randomized_behaviors() {
         let mean = rng.f64_range(1.01, 80.0);
         let behavior = IlpBehavior::new(mean, rng.next_f64(), rng.next_f64());
         let seed = rng.next_u64();
-        for format in TraceFormat::ALL {
-            assert_distribution("randomized", behavior, format, seed);
-        }
+        assert_distribution("randomized", behavior, seed);
     });
 }
 
 #[test]
-fn sampler_degenerate_mean_is_constant_one_in_both_formats() {
-    for format in TraceFormat::ALL {
-        for mean in [1.0] {
-            let sampler = IlpBehavior::new(mean, 0.4, 0.1).sampler(format);
-            let mut rng = Prng::new(3);
-            let before = rng.clone();
-            for _ in 0..1_000 {
-                assert_eq!(sampler.draw(&mut rng), 1);
-            }
-            assert_eq!(
-                rng, before,
-                "{format}: constant draw must not touch the RNG"
-            );
-        }
+fn sampler_degenerate_mean_is_constant_one() {
+    let sampler = IlpBehavior::new(1.0, 0.4, 0.1).sampler();
+    let mut rng = Prng::new(3);
+    let before = rng.clone();
+    for _ in 0..1_000 {
+        assert_eq!(sampler.draw(&mut rng), 1);
     }
+    assert_eq!(rng, before, "constant draw must not touch the RNG");
 }
 
 #[test]
 fn sampler_table_inverse_cdf_is_exactly_monotone() {
-    // The exact structural invariants of the v2 table, for every shipped
+    // The exact structural invariants of the table, for every shipped
     // behaviour that has one and a mean sweep: thresholds non-decreasing
     // (a decreasing pair would make some distance's probability negative),
     // the last threshold saturated (the cap absorbs all remaining mass),
@@ -159,7 +146,7 @@ fn sampler_table_inverse_cdf_is_exactly_monotone() {
     let mut checked = 0;
     for mean in means {
         let behavior = IlpBehavior::new(mean.max(1.0), 0.4, 0.1);
-        let sampler = behavior.sampler(TraceFormat::V2);
+        let sampler = behavior.sampler();
         let Some(table) = sampler.table() else {
             continue;
         };
@@ -206,14 +193,4 @@ fn sampler_table_inverse_cdf_is_exactly_monotone() {
         }
     }
     assert!(checked >= 10, "only {checked} table samplers checked");
-}
-
-#[test]
-fn v1_and_v2_draw_different_bits_by_design() {
-    // Not a distribution property, but the reason this is a format bump:
-    // same RNG seed, same behaviour, different draw sequences.
-    let behavior = IlpBehavior::moderate();
-    let v1 = draw_distances(behavior, TraceFormat::V1, 7, 10_000);
-    let v2 = draw_distances(behavior, TraceFormat::V2, 7, 10_000);
-    assert_ne!(v1, v2);
 }

@@ -336,8 +336,10 @@ fn bench_workloads(scale: u64, quick: bool) -> Vec<EngineResult> {
 /// evicted while its fill is still in flight, which the base geometry
 /// almost never does. Under that pressure MAD's victim scan evicts the
 /// lines whose outstanding fills are cheapest, so the merges that remain
-/// land close to completion — the *mean* stall per delayed hit drops well
-/// below LRU's even though MAD admits more (cheap) merges.
+/// land close to completion. At this trace seed the *mean* stall per
+/// delayed hit drops below LRU's, but LRU's mean is taken over one or two
+/// delayed hits and other seeds reverse it (README, "Latency model &
+/// delayed hits").
 fn bench_policy_pair(scale: u64) -> Vec<EngineResult> {
     let n = (100_000 * scale) as usize;
     let registry = WorkloadRegistry::builtin();

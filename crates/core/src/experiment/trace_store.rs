@@ -39,11 +39,14 @@
 //! * a **transient** I/O error (see [`rescache_trace::is_transient`]) gets a
 //!   bounded retry with backoff before falling back to regeneration — the
 //!   entry is *not* quarantined, because nothing proves the file is bad;
-//! * a **corrupt, truncated, mislabeled or other-version** entry (the
-//!   retired formats 1 and 2 included) is
+//! * a **truncated, mislabeled or other-version** entry (the retired
+//!   formats 1 and 2 included), or one whose corruption the decoder detects
+//!   (a bad header, an impossible chunk frame, a malformed payload), is
 //!   *quarantined* — renamed to a `.corrupt` sidecar — before regeneration,
 //!   so repeated corruption is diagnosable on disk instead of silently
-//!   churned;
+//!   churned. v3 chunks carry no checksum, so damage that still decodes
+//!   (many single-bit flips in a payload do) is *not* detected: the entry
+//!   serves different records without an error;
 //! * a **disk-full or unwritable** directory latches the whole store into
 //!   in-memory-only degraded mode with a one-time warning (see
 //!   [`SharedTier::degrade`]); generation proceeds, persistence stops.
@@ -778,7 +781,7 @@ impl TraceStore {
         let policy = self.tier.policy();
         policy.retrying(
             || self.tier.health().note_retry(),
-            || codec::save_trace_with(path, full, policy),
+            || codec::save_source_with(path, &mut full.cursor(), policy),
         )
     }
 

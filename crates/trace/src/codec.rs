@@ -25,18 +25,21 @@
 //! digit is [`CodecError::UnsupportedVersion`]; one without the prefix is
 //! [`CodecError::BadMagic`].
 //!
-//! Readers validate everything else they touch the same way and return a
-//! [`CodecError`] — never panic — on truncated, corrupt or foreign files, so
-//! a store populated by a crashed or concurrent process degrades to
-//! regeneration rather than an aborted sweep.
+//! The reader validates everything else it touches the same way and returns
+//! a [`CodecError`] — never panics — on truncated, structurally corrupt or
+//! foreign files, so a store populated by a crashed or concurrent process
+//! degrades to regeneration rather than an aborted sweep. Chunks carry no
+//! checksum: a damaged payload that still decodes yields different records
+//! without an error.
 //!
-//! The per-chunk framing is what makes the store's streaming and sharing
-//! features chunk-granular: [`ChunkedTraceReader`] decodes one chunk at a
-//! time (nothing else resident), [`TraceFileSource`] adapts that reader to
-//! the [`TraceSource`] pull interface so simulations replay straight from
-//! disk (including serving only a leading prefix of a longer entry), and
-//! [`save_source`] persists a streaming generator without ever holding the
-//! full record array.
+//! One reader and one writer cover every use. [`TraceFileSource`] is the
+//! only way a file is read: it decodes one chunk at a time (nothing else
+//! resident) behind the [`TraceSource`] pull interface, so simulations replay
+//! straight from disk, including only a leading prefix of a longer entry.
+//! [`write_trace`], [`save_trace`] and [`save_source_with`] all frame chunks
+//! through one loop over a [`TraceSource`], so a streaming generator persists
+//! without ever holding the full record array, byte-identical to its
+//! materialized twin.
 
 use std::fmt;
 use std::fs::File;
@@ -177,21 +180,23 @@ impl From<io::Error> for CodecError {
 /// must never be produced — and for a record the compressed payload cannot
 /// represent (see [`UnencodableRecord`]).
 pub fn write_trace<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
-    write_header(w, trace.name(), trace.len() as u64)?;
-    let mut chunks = ChunkWriter::new();
-    for chunk in trace.records().chunks(CHUNK_RECORDS) {
-        chunks.write_chunk(w, chunk)?;
-    }
-    Ok(())
+    write_source(w, &mut trace.cursor())
 }
 
-/// Writes the container header: magic, flags byte, name and record count.
-/// Shared by the materialized and streaming save paths so the two always
-/// produce byte-identical files.
-fn write_header<W: Write>(w: &mut W, name: &str, records: u64) -> io::Result<()> {
-    w.write_all(&TraceFormat::V3.magic())?;
-    w.write_all(&[FLAGS_DELTA])?;
-    let name = name.as_bytes();
+/// Drains `source` to `w`: the container header, then every record framed
+/// into chunks of at most [`CHUNK_RECORDS`]. The one framing loop behind
+/// every writer, so a materialized trace and a streamed one always produce
+/// byte-identical files. Oversized producer chunks (a cursor yields its
+/// whole window as one chunk) are re-framed to the format's bound.
+///
+/// # Errors
+///
+/// Besides writer errors, returns `InvalidInput` for an over-long name or an
+/// unencodable record (see [`write_trace`]) and `InvalidData` if the source
+/// delivers fewer records than [`TraceSource::total_records`] promised.
+fn write_source<W: Write, S: TraceSource>(w: &mut W, source: &mut S) -> io::Result<()> {
+    let promised = source.total_records() as u64;
+    let name = source.name().as_bytes();
     if name.len() as u64 > u64::from(MAX_NAME_BYTES) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -201,42 +206,45 @@ fn write_header<W: Write>(w: &mut W, name: &str, records: u64) -> io::Result<()>
             ),
         ));
     }
+    w.write_all(&TraceFormat::V3.magic())?;
+    w.write_all(&[FLAGS_DELTA])?;
     w.write_all(&(name.len() as u32).to_le_bytes())?;
     w.write_all(name)?;
-    w.write_all(&records.to_le_bytes())?;
-    Ok(())
-}
+    w.write_all(&promised.to_le_bytes())?;
 
-/// Compresses, frames and writes record chunks, reusing one scratch buffer
-/// across chunks.
-struct ChunkWriter {
-    bytes: Vec<u8>,
-}
-
-impl ChunkWriter {
-    fn new() -> Self {
-        Self {
-            bytes: Vec::with_capacity(CHUNK_RECORDS * compress::MAX_RECORD_BYTES),
+    let mut written = 0u64;
+    let mut bytes = Vec::with_capacity(CHUNK_RECORDS * compress::MAX_RECORD_BYTES);
+    loop {
+        let chunk = source.next_chunk();
+        if chunk.is_empty() {
+            break;
+        }
+        for frame in chunk.chunks(CHUNK_RECORDS) {
+            w.write_all(&(frame.len() as u32).to_le_bytes())?;
+            bytes.clear();
+            compress::encode_chunk(frame, &mut bytes)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+            w.write_all(&(bytes.len() as u32).to_le_bytes())?;
+            w.write_all(&bytes)?;
+            written += frame.len() as u64;
         }
     }
-
-    fn write_chunk<W: Write>(&mut self, w: &mut W, chunk: &[InstrRecord]) -> io::Result<()> {
-        w.write_all(&(chunk.len() as u32).to_le_bytes())?;
-        self.bytes.clear();
-        compress::encode_chunk(chunk, &mut self.bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        w.write_all(&(self.bytes.len() as u32).to_le_bytes())?;
-        w.write_all(&self.bytes)
+    if written != promised {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("source promised {promised} records but delivered {written}"),
+        ));
     }
+    Ok(())
 }
 
 /// An incremental reader over the persisted trace format: the header is
 /// validated on construction, then [`ChunkedTraceReader::next_chunk`] decodes
 /// one chunk at a time into an internal buffer, so a consumer that never
-/// needs the whole trace resident (the store's streaming replay path) keeps
-/// at most [`CHUNK_RECORDS`] decoded records alive.
+/// needs the whole trace resident keeps at most [`CHUNK_RECORDS`] decoded
+/// records alive. [`TraceFileSource`] is its one client.
 #[derive(Debug)]
-pub struct ChunkedTraceReader<R: Read> {
+pub(crate) struct ChunkedTraceReader<R: Read> {
     r: R,
     name: String,
     total: u64,
@@ -301,11 +309,6 @@ impl<R: Read> ChunkedTraceReader<R> {
         self.total
     }
 
-    /// Records decoded so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
     /// Decodes the next chunk, or returns an empty slice once every promised
     /// record has been delivered.
     ///
@@ -324,12 +327,11 @@ impl<R: Read> ChunkedTraceReader<R> {
         Ok(&self.buf)
     }
 
-    /// [`ChunkedTraceReader::next_chunk_into`] that *overwrites* `out`
-    /// instead of appending: steady-state chunks are all the same length,
-    /// so after the first chunk the resize is a no-op and the decode writes
-    /// straight over last chunk's records — the clear-then-grow cycle would
-    /// re-zero the whole buffer every chunk. `out` is left empty once every
-    /// promised record has been delivered.
+    /// Decodes the next chunk by *overwriting* `out`: steady-state chunks
+    /// are all the same length, so after the first chunk the resize is a
+    /// no-op and the decode writes straight over last chunk's records — a
+    /// clear-then-grow cycle would re-zero the whole buffer every chunk.
+    /// `out` is left empty once every promised record has been delivered.
     fn next_chunk_reusing(&mut self, out: &mut Vec<InstrRecord>) -> Result<usize, CodecError> {
         let remaining = self.total - self.delivered;
         if remaining == 0 {
@@ -357,108 +359,10 @@ impl<R: Read> ChunkedTraceReader<R> {
     pub fn current(&self) -> &[InstrRecord] {
         &self.buf
     }
-
-    /// Decodes the next chunk straight into `out` (appending), returning the
-    /// record count — 0 once every promised record has been delivered. This
-    /// is the one-pass load path: [`read_trace`] decodes every chunk into
-    /// the final record vector with no intermediate per-chunk staging.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on truncation, an impossible chunk header or
-    /// a corrupt record; the reader must not be used further after an error,
-    /// and `out` holds an unspecified tail that must be discarded.
-    pub fn next_chunk_into(&mut self, out: &mut Vec<InstrRecord>) -> Result<usize, CodecError> {
-        let remaining = self.total - self.delivered;
-        if remaining == 0 {
-            return Ok(0);
-        }
-        let (len, byte_len) = read_chunk_frame(&mut self.r, self.total, self.delivered, remaining)?;
-        // Allocate lazily (bounded by what the file actually delivers) so a
-        // corrupt record count cannot force an absurd up-front allocation.
-        self.raw.resize(byte_len.max(self.raw.len()), 0);
-        read_exact_or_truncated(
-            &mut self.r,
-            &mut self.raw[..byte_len],
-            self.total,
-            self.delivered,
-        )?;
-        compress::decode_chunk(&self.raw[..byte_len], len, out)?;
-        self.delivered += len as u64;
-        Ok(len)
-    }
-}
-
-impl<'a> ChunkedTraceReader<&'a [u8]> {
-    /// The borrowed-image twin of [`ChunkedTraceReader::next_chunk_into`]:
-    /// when the whole file is already in memory, each chunk payload decodes
-    /// straight out of the image with no staging copy. This is the
-    /// [`read_trace`] fast path.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`ChunkedTraceReader::next_chunk_into`].
-    pub fn next_chunk_into_borrowed(
-        &mut self,
-        out: &mut Vec<InstrRecord>,
-    ) -> Result<usize, CodecError> {
-        let remaining = self.total - self.delivered;
-        if remaining == 0 {
-            return Ok(0);
-        }
-        let (len, byte_len) = read_chunk_frame(&mut self.r, self.total, self.delivered, remaining)?;
-        let Some(payload) = self.r.get(..byte_len) else {
-            return Err(CodecError::Truncated {
-                expected: self.total,
-                got: self.delivered,
-            });
-        };
-        self.r = &self.r[byte_len..];
-        compress::decode_chunk(payload, len, out)?;
-        self.delivered += len as u64;
-        Ok(len)
-    }
-
-    /// Walks and validates every remaining chunk frame — record count, byte
-    /// length, and payload presence — without decoding any records, returning
-    /// each chunk's record count and its payload borrowed from the image.
-    ///
-    /// This is the front half of [`read_trace`]: because delta bases reset
-    /// per chunk, the frames it returns are independent decode units, so the
-    /// load path can fan them out across worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same structural [`CodecError`]s the chunk-by-chunk decode
-    /// loop reports (impossible headers, lying directories, truncation).
-    fn frames(&mut self) -> Result<Vec<(usize, &'a [u8])>, CodecError> {
-        let mut frames = Vec::new();
-        loop {
-            let remaining = self.total - self.delivered;
-            if remaining == 0 {
-                return Ok(frames);
-            }
-            let (len, byte_len) =
-                read_chunk_frame(&mut self.r, self.total, self.delivered, remaining)?;
-            // Copy the reference out of `self` so the payload borrows the
-            // image's lifetime, not this call's borrow of the reader.
-            let image: &'a [u8] = self.r;
-            let Some(payload) = image.get(..byte_len) else {
-                return Err(CodecError::Truncated {
-                    expected: self.total,
-                    got: self.delivered,
-                });
-            };
-            self.r = &image[byte_len..];
-            frames.push((len, payload));
-            self.delivered += len as u64;
-        }
-    }
 }
 
 /// Reads and validates one chunk's frame (record count and the
-/// directory's byte length), leaving `r` positioned at the payload. Shared
-/// by the staged and borrowed-image decode paths.
+/// directory's byte length), leaving `r` positioned at the payload.
 fn read_chunk_frame<R: Read>(
     r: &mut R,
     total: u64,
@@ -485,157 +389,10 @@ fn read_chunk_frame<R: Read>(
     Ok((len as usize, byte_len as usize))
 }
 
-/// Reads a trace from `r`, validating the format end to end.
-///
-/// # Errors
-///
-/// Returns a [`CodecError`] if the stream is not a well-formed trace file;
-/// truncation, unknown record tags and impossible chunk headers are all
-/// reported as errors rather than panics.
-pub fn read_trace<R: Read>(r: &mut R) -> Result<Trace, CodecError> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes).map_err(CodecError::Io)?;
-    read_trace_bytes(&bytes)
-}
-
-/// [`read_trace`] over an image already in memory: every chunk payload
-/// decodes borrowed straight out of `bytes` with no staging copy. This is
-/// the whole-load fast path [`load_trace`] uses after one pre-sized file
-/// read.
-///
-/// # Errors
-///
-/// Exactly as [`read_trace`].
-pub fn read_trace_bytes(bytes: &[u8]) -> Result<Trace, CodecError> {
-    let mut reader = ChunkedTraceReader::new(bytes)?;
-
-    // Pre-size the record vector from the header's claim, bounded by the
-    // most records the image's bytes could possibly encode, so an honest
-    // file never pays a growth copy and a lying record count cannot force
-    // an absurd up-front allocation.
-    let claimed = usize::try_from(reader.total_records()).unwrap_or(usize::MAX);
-    let capacity = claimed.min(bytes.len() / compress::MIN_RECORD_BYTES);
-
-    let workers = decode_workers(claimed.div_ceil(CHUNK_RECORDS));
-    if workers <= 1 {
-        // Fused streaming decode: validate each chunk frame and decode its
-        // payload immediately, while the frame's bytes and the freshly
-        // grown stretch of the record vector are still cache-hot. Chunk
-        // errors surface in stream order by construction.
-        let mut records = Vec::with_capacity(capacity);
-        while reader.next_chunk_into_borrowed(&mut records)? != 0 {}
-        return Ok(Trace::new(reader.name().to_string(), records));
-    }
-
-    read_trace_bytes_parallel(bytes, workers)
-}
-
-/// The parallel half of [`read_trace_bytes`]: walk and validate the whole
-/// chunk directory first, then fan the payloads out across `workers`
-/// threads. Split out with an explicit worker count so the fan-out, the
-/// disjoint slice hand-off and the earliest-chunk error selection stay
-/// testable on single-core hosts, where [`decode_workers`] never exceeds 1.
-fn read_trace_bytes_parallel(bytes: &[u8], workers: usize) -> Result<Trace, CodecError> {
-    let mut reader = ChunkedTraceReader::new(bytes)?;
-    // The record vector is sized from the *validated* frames — every
-    // payload was checked to exist in the image — so a corrupt record
-    // count cannot force an absurd up-front allocation.
-    let frames = match reader.frames() {
-        Ok(frames) => frames,
-        // The directory walk failed partway through. Chunk-by-chunk order
-        // may blame an *earlier* chunk's payload (a lying byte length
-        // derails every later frame), so re-decode serially and report
-        // exactly what the streaming reader would.
-        Err(walk) => {
-            let mut reader = ChunkedTraceReader::new(bytes)?;
-            let mut records = Vec::new();
-            loop {
-                if reader.next_chunk_into_borrowed(&mut records)? == 0 {
-                    // Unreachable in practice: the serial pass re-checks the
-                    // same directory the walk just rejected.
-                    return Err(walk);
-                }
-            }
-        }
-    };
-    let total: usize = frames.iter().map(|&(len, _)| len).sum();
-    let mut records = vec![InstrRecord::zeroed(); total];
-
-    // Delta bases reset per chunk, so frames decode independently. Workers
-    // write disjoint sub-slices of the one record vector — the result is
-    // bit-identical to the serial decode, whatever the count.
-    let workers = workers.min(frames.len()).max(1);
-    let mut slices = Vec::with_capacity(frames.len());
-    let mut rest: &mut [InstrRecord] = &mut records;
-    for &(len, payload) in &frames {
-        let (head, tail) = rest.split_at_mut(len);
-        slices.push((payload, head));
-        rest = tail;
-    }
-    if workers <= 1 {
-        for (payload, out) in slices {
-            compress::decode_chunk_into(payload, out)?;
-        }
-    } else {
-        let per = slices.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            let mut slices = slices;
-            let mut base = 0usize;
-            while !slices.is_empty() {
-                let group: Vec<_> = slices.drain(..per.min(slices.len())).collect();
-                let group_base = base;
-                base += group.len();
-                handles.push(scope.spawn(move || {
-                    for (i, (payload, out)) in group.into_iter().enumerate() {
-                        compress::decode_chunk_into(payload, out)
-                            .map_err(|e| (group_base + i, CodecError::from(e)))?;
-                    }
-                    Ok(())
-                }));
-            }
-            // Report the error of the *earliest* corrupt chunk so parallel
-            // and serial decode fail identically on a multi-corrupt file.
-            let mut first: Option<(usize, CodecError)> = None;
-            for handle in handles {
-                let outcome: Result<(), (usize, CodecError)> = handle
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                if let Err((chunk, e)) = outcome {
-                    if first.as_ref().is_none_or(|(c, _)| chunk < *c) {
-                        first = Some((chunk, e));
-                    }
-                }
-            }
-            match first {
-                Some((_, e)) => Err(e),
-                None => Ok(()),
-            }
-        })?;
-    }
-    Ok(Trace::new(reader.name().to_string(), records))
-}
-
-/// Worker-thread count for the parallel whole-trace decode: one worker per
-/// available core (capped — decode saturates memory bandwidth well before
-/// high core counts), and strictly serial for short traces, where thread
-/// spawns would cost more than they recover.
-fn decode_workers(chunks: usize) -> usize {
-    const MIN_PARALLEL_CHUNKS: usize = 4;
-    const MAX_WORKERS: usize = 8;
-    if chunks < MIN_PARALLEL_CHUNKS {
-        return 1;
-    }
-    std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(MAX_WORKERS)
-        .min(chunks)
-}
-
-/// A [`TraceSource`] replaying a persisted trace chunk by chunk from disk:
-/// the streaming twin of [`load_trace`], keeping one decoded chunk resident
-/// instead of the whole record array — and serving it as sub-slices of the
-/// reader's decode buffer, so records reach the engines in one decode pass
+/// A [`TraceSource`] replaying a persisted trace chunk by chunk from disk —
+/// the only way a trace file is read. It keeps one decoded chunk resident
+/// instead of the whole record array and serves it as sub-slices of the
+/// decode buffer, so records reach the engines in one decode pass
 /// with no staging copy. Opening with a `take` shorter than the
 /// file is chunk-granular prefix serving — decoding stops with the chunk
 /// that covers the request, so corruption *beyond* the prefix is never even
@@ -862,96 +619,36 @@ fn atomic_save(
     result
 }
 
-/// Writes `trace` to `path` atomically (see [`atomic_save`]).
+/// Writes `trace` to `path` atomically, through a same-directory temporary
+/// file renamed into place: [`save_source_with`] over the trace's cursor,
+/// with no fault policy.
+///
+/// # Errors
+///
+/// Everything [`write_trace`] reports.
 pub fn save_trace(path: &Path, trace: &Trace) -> io::Result<()> {
-    save_trace_with(path, trace, &IoPolicy::none())
+    save_source_with(path, &mut trace.cursor(), &IoPolicy::none())
 }
 
-/// [`save_trace`] with every filesystem operation routed through `policy`.
-pub fn save_trace_with(path: &Path, trace: &Trace, policy: &IoPolicy) -> io::Result<()> {
-    atomic_save(path, policy, |w| write_trace(w, trace))
-}
-
-/// Drains `source` to `path` atomically, chunk by chunk: the streaming twin
-/// of [`save_trace`], persisting (for example) a resumable
-/// [`TraceStream`](crate::TraceStream) without ever materializing the full
-/// record array. Oversized producer chunks (a materialized cursor yields its
-/// whole window as one chunk) are re-framed to the format's
-/// [`CHUNK_RECORDS`] bound.
+/// Drains `source` to `path` atomically, chunk by chunk, with every
+/// filesystem operation routed through `policy`. This persists (for example)
+/// a resumable [`TraceStream`](crate::TraceStream) without ever materializing
+/// the full record array, and a materialized trace through its
+/// [`Trace::cursor`].
 ///
 /// # Errors
 ///
-/// Besides writer errors, returns `InvalidData` if the source delivers fewer
-/// records than [`TraceSource::total_records`] promised (the partial file is
-/// discarded, never renamed into place), and `InvalidInput` for an over-long
-/// name as [`write_trace`] does.
-pub fn save_source<S: TraceSource>(path: &Path, source: &mut S) -> io::Result<()> {
-    save_source_with(path, source, &IoPolicy::none())
-}
-
-/// [`save_source`] with every filesystem operation routed through `policy`.
-///
-/// # Errors
-///
-/// Everything [`save_source`] reports, plus whatever `policy` injects.
+/// Besides writer errors and whatever `policy` injects, returns
+/// `InvalidData` if the source delivers fewer records than
+/// [`TraceSource::total_records`] promised (the partial file is discarded,
+/// never renamed into place), and `InvalidInput` for an over-long name as
+/// [`write_trace`] does.
 pub fn save_source_with<S: TraceSource>(
     path: &Path,
     source: &mut S,
     policy: &IoPolicy,
 ) -> io::Result<()> {
-    atomic_save(path, policy, |w| {
-        let name = source.name().to_string();
-        let promised = source.total_records() as u64;
-        write_header(w, &name, promised)?;
-
-        let mut written = 0u64;
-        let mut chunks = ChunkWriter::new();
-        loop {
-            let chunk = source.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            for frame in chunk.chunks(CHUNK_RECORDS) {
-                chunks.write_chunk(w, frame)?;
-                written += frame.len() as u64;
-            }
-        }
-        if written != promised {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("source promised {promised} records but delivered {written}"),
-            ));
-        }
-        Ok(())
-    })
-}
-
-/// Reads a trace from `path` (see [`read_trace`]).
-///
-/// # Errors
-///
-/// Returns a [`CodecError`] if the file is missing, unreadable or malformed.
-pub fn load_trace(path: &Path) -> Result<Trace, CodecError> {
-    load_trace_with(path, &IoPolicy::none())
-}
-
-/// [`load_trace`] with the open and every read routed through `policy`.
-///
-/// # Errors
-///
-/// Everything [`load_trace`] reports, plus whatever `policy` injects
-/// (surfacing as [`CodecError::Io`]).
-pub fn load_trace_with(path: &Path, policy: &IoPolicy) -> Result<Trace, CodecError> {
-    // No BufReader: the image is slurped in large reads anyway, so an 8 KiB
-    // staging buffer would only add copies. Pre-sizing from the file's
-    // length makes the slurp one allocation and one read — `read_to_end`'s
-    // doubling growth would copy a multi-megabyte image several times over.
-    let file = policy.open(path)?;
-    let size_hint = file.metadata().map(|m| m.len() as usize).unwrap_or(0);
-    let mut bytes = Vec::with_capacity(size_hint);
-    let mut r = policy.reader(file);
-    r.read_to_end(&mut bytes).map_err(CodecError::Io)?;
-    read_trace_bytes(&bytes)
+    atomic_save(path, policy, |w| write_source(w, source))
 }
 
 #[cfg(test)]
@@ -968,6 +665,39 @@ mod tests {
         let mut bytes = Vec::new();
         write_trace(&mut bytes, trace).expect("vec writes cannot fail");
         bytes
+    }
+
+    /// Decodes an in-memory image chunk by chunk through the reader behind
+    /// [`TraceFileSource`].
+    fn decode(bytes: &[u8]) -> Result<Trace, CodecError> {
+        let mut reader = ChunkedTraceReader::new(bytes)?;
+        let mut records = Vec::new();
+        loop {
+            let chunk = reader.next_chunk()?;
+            if chunk.is_empty() {
+                break;
+            }
+            records.extend_from_slice(chunk);
+        }
+        Ok(Trace::new(reader.name().to_string(), records))
+    }
+
+    /// Reads the whole file at `path` through [`TraceFileSource`], returning
+    /// a mid-stream fault as the error.
+    fn load(path: &Path) -> Result<Trace, CodecError> {
+        let mut source = TraceFileSource::open(path, None)?;
+        let mut records = Vec::new();
+        loop {
+            let chunk = source.next_chunk();
+            if chunk.is_empty() {
+                break;
+            }
+            records.extend_from_slice(chunk);
+        }
+        match source.fault.take() {
+            Some(e) => Err(e),
+            None => Ok(Trace::new(source.name().to_string(), records)),
+        }
     }
 
     /// Byte offsets of each chunk header in an encoded file, walked via the
@@ -989,7 +719,7 @@ mod tests {
         // Cover the empty, sub-chunk and multi-chunk cases.
         for n in [0usize, 1, 1000, CHUNK_RECORDS + 17] {
             let trace = sample(n);
-            let decoded = read_trace(&mut encode(&trace).as_slice()).expect("round trip");
+            let decoded = decode(&encode(&trace)).expect("round trip");
             assert_eq!(decoded, trace, "{n} records");
         }
     }
@@ -1003,7 +733,7 @@ mod tests {
             bytes[7] = version;
             assert!(
                 matches!(
-                    read_trace(&mut bytes.as_slice()),
+                    decode(&bytes),
                     Err(CodecError::UnsupportedVersion { version: v }) if v == version
                 ),
                 "version byte {version:#04x}"
@@ -1012,10 +742,7 @@ mod tests {
         // A broken prefix is still BadMagic, not UnsupportedVersion.
         let mut bytes = encode(&sample(100));
         bytes[0] ^= 0xff;
-        assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
-            Err(CodecError::BadMagic)
-        ));
+        assert!(matches!(decode(&bytes), Err(CodecError::BadMagic)));
     }
 
     #[test]
@@ -1035,10 +762,6 @@ mod tests {
                 matches!(err, CodecError::UnsupportedVersion { version: v } if v == version),
                 "version byte {version:#04x}: {err}"
             );
-            assert!(matches!(
-                load_trace(&path),
-                Err(CodecError::UnsupportedVersion { .. })
-            ));
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1050,14 +773,14 @@ mod tests {
         let path = dir.join("compress.rctrace");
         let trace = sample(5_000);
         save_trace(&path, &trace).expect("save");
-        let decoded = load_trace(&path).expect("load");
+        let decoded = load(&path).expect("load");
         assert_eq!(decoded, trace);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_file_is_an_error() {
-        let err = load_trace(Path::new("/nonexistent/rescache.rctrace")).unwrap_err();
+        let err = load(Path::new("/nonexistent/rescache.rctrace")).unwrap_err();
         assert!(matches!(err, CodecError::Io(_)));
     }
 
@@ -1065,10 +788,7 @@ mod tests {
     fn bad_magic_is_an_error() {
         let mut bytes = encode(&sample(100));
         bytes[0] ^= 0xff;
-        assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
-            Err(CodecError::BadMagic)
-        ));
+        assert!(matches!(decode(&bytes), Err(CodecError::BadMagic)));
     }
 
     #[test]
@@ -1076,7 +796,7 @@ mod tests {
         let bytes = encode(&sample(1000));
         // Cut the file at every structurally interesting prefix length.
         for cut in [0, 4, 8, 10, 20, 30, bytes.len() / 2, bytes.len() - 1] {
-            let err = read_trace(&mut &bytes[..cut]).unwrap_err();
+            let err = decode(&bytes[..cut]).unwrap_err();
             assert!(
                 matches!(err, CodecError::Truncated { .. }),
                 "cut {cut}: {err}"
@@ -1094,7 +814,7 @@ mod tests {
         let chunk = v3_chunk_offsets(&bytes, trace.name().len())[0];
         bytes[chunk + 9] |= 0x07;
         assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
+            decode(&bytes),
             Err(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
         ));
     }
@@ -1105,10 +825,7 @@ mod tests {
         let mut bytes = encode(&trace);
         let chunk_header = v3_chunk_offsets(&bytes, trace.name().len())[0];
         bytes[chunk_header..chunk_header + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
-            Err(CodecError::BadChunk { .. })
-        ));
+        assert!(matches!(decode(&bytes), Err(CodecError::BadChunk { .. })));
     }
 
     #[test]
@@ -1134,7 +851,7 @@ mod tests {
                 scope.spawn(|| {
                     for _ in 0..8 {
                         save_trace(&path, &trace).expect("save");
-                        let loaded = load_trace(&path).expect("load during races");
+                        let loaded = load(&path).expect("load during races");
                         assert_eq!(loaded, trace);
                     }
                 });
@@ -1148,10 +865,7 @@ mod tests {
         // The name-length field follows the magic and the flags byte.
         let mut bytes = encode(&sample(10));
         bytes[9..13].copy_from_slice(&(MAX_NAME_BYTES + 1).to_le_bytes());
-        assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
-            Err(CodecError::BadName)
-        ));
+        assert!(matches!(decode(&bytes), Err(CodecError::BadName)));
     }
 
     #[test]
@@ -1171,7 +885,6 @@ mod tests {
             records.extend_from_slice(chunk);
         }
         assert_eq!(records, trace.records());
-        assert_eq!(reader.delivered(), trace.len() as u64);
         // Exhausted readers keep returning empty chunks.
         assert!(reader.next_chunk().expect("past end").is_empty());
     }
@@ -1215,7 +928,7 @@ mod tests {
         assert_eq!(drain_prefix(n), &trace.records()[..n]);
         // ... but the full load now fails.
         assert!(matches!(
-            load_trace(&path),
+            load(&path),
             Err(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -1327,7 +1040,7 @@ mod tests {
 
         let streamed_path = dir.join("streamed.rctrace");
         let mut stream = generator.stream(n);
-        save_source(&streamed_path, &mut stream).expect("stream to disk");
+        save_source_with(&streamed_path, &mut stream, &IoPolicy::none()).expect("stream to disk");
 
         let materialized_path = dir.join("materialized.rctrace");
         save_trace(&materialized_path, &generator.generate(n)).expect("save");
@@ -1342,7 +1055,7 @@ mod tests {
         let missing = dir.join("underdelivered.rctrace");
         let mut fenced = generator.stream(n);
         fenced.split_at(100);
-        let err = save_source(&missing, &mut fenced).unwrap_err();
+        let err = save_source_with(&missing, &mut fenced, &IoPolicy::none()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(!missing.exists(), "partial file never renamed into place");
         std::fs::remove_dir_all(&dir).ok();
@@ -1366,7 +1079,7 @@ mod tests {
             kind: FaultKind::Transient,
         }]));
         let policy = IoPolicy::with_injector(Arc::clone(&injector));
-        let err = save_trace_with(&path, &trace, &policy).unwrap_err();
+        let err = save_source_with(&path, &mut trace.cursor(), &policy).unwrap_err();
         assert!(crate::faults::is_transient(&err));
         assert!(!path.exists(), "failed save leaves nothing at the path");
 
@@ -1376,14 +1089,14 @@ mod tests {
             op: IoOp::Rename,
             kind: FaultKind::DiskFull,
         });
-        let err = save_trace_with(&path, &trace, &policy).unwrap_err();
+        let err = save_source_with(&path, &mut trace.cursor(), &policy).unwrap_err();
         assert!(crate::faults::is_disk_full(&err));
         assert!(!path.exists());
 
         // With the script drained the same policy saves cleanly, and a read
         // fault mid-replay surfaces as a recorded source fault — the same
         // degradation path a truncated entry takes.
-        save_trace_with(&path, &trace, &policy).expect("clean save");
+        save_source_with(&path, &mut trace.cursor(), &policy).expect("clean save");
         // Open first (the header read passes), then inject: the fault lands
         // mid-replay rather than at open time.
         let mut src = TraceFileSource::open_with(&path, None, &policy).expect("open");
@@ -1409,13 +1122,13 @@ mod tests {
             src.fault()
         );
 
-        // load_trace_with reports the injected error as CodecError::Io.
+        // An injected open fault is a typed CodecError::Io.
         injector.push(ScriptedFault {
             op: IoOp::Open,
             kind: FaultKind::Transient,
         });
         assert!(matches!(
-            load_trace_with(&path, &policy),
+            TraceFileSource::open_with(&path, None, &policy),
             Err(CodecError::Io(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -1434,10 +1147,7 @@ mod tests {
             bytes.len(),
             trace.len()
         );
-        let mut reader = ChunkedTraceReader::new(bytes.as_slice()).expect("header");
-        let mut records = Vec::new();
-        while reader.next_chunk_into(&mut records).expect("chunk") > 0 {}
-        assert_eq!(records, trace.records());
+        assert_eq!(decode(&bytes).expect("decode"), trace);
     }
 
     #[test]
@@ -1448,7 +1158,7 @@ mod tests {
             bytes[8] = flags;
             assert!(
                 matches!(
-                    read_trace(&mut bytes.as_slice()),
+                    decode(&bytes),
                     Err(CodecError::UnsupportedFlags { flags: f }) if f == flags
                 ),
                 "flags {flags:#04x}"
@@ -1468,7 +1178,7 @@ mod tests {
         let mut b = bytes.clone();
         b[chunk + 4..chunk + 8].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            read_trace(&mut b.as_slice()),
+            decode(&b),
             Err(CodecError::BadChunkBytes {
                 byte_len: u32::MAX,
                 ..
@@ -1480,7 +1190,7 @@ mod tests {
         let mut b = bytes.clone();
         b[chunk + 4..chunk + 8].copy_from_slice(&(byte_len - 1).to_le_bytes());
         assert!(matches!(
-            read_trace(&mut b.as_slice()),
+            decode(&b),
             Err(CodecError::BadPayload(CorruptChunk::Truncated))
         ));
 
@@ -1488,7 +1198,7 @@ mod tests {
         let mut b = bytes.clone();
         b[chunk + 4..chunk + 8].copy_from_slice(&(byte_len + 1).to_le_bytes());
         assert!(matches!(
-            read_trace(&mut b.as_slice()),
+            decode(&b),
             Err(CodecError::BadPayload(CorruptChunk::TrailingBytes {
                 extra: 1
             }))
@@ -1499,71 +1209,68 @@ mod tests {
         let mut b = bytes.clone();
         b[chunk + 10] |= 0x80;
         assert!(matches!(
-            read_trace(&mut b.as_slice()),
+            decode(&b),
             Err(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
         ));
     }
 
     #[test]
     fn parallel_decode_matches_serial_and_reports_corruption_typed() {
-        // Enough chunks that `read_trace` takes its fan-out path (the
-        // threshold in `decode_workers`); the streaming reader is the
-        // always-serial reference.
+        // A many-chunk file with a trailing partial chunk decodes to the
+        // exact trace.
+        let dir = std::env::temp_dir().join(format!("rescache-codec-multi-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let path = dir.join("compress.rctrace");
         let trace = sample(6 * CHUNK_RECORDS + 123);
         let bytes = encode(&trace);
-        let decoded = read_trace(&mut bytes.as_slice()).expect("parallel load");
-        assert_eq!(decoded, trace);
+        assert_eq!(decode(&bytes).expect("decode"), trace);
 
-        // A reserved head bit deep in a middle chunk surfaces as the same
-        // typed error the serial path reports, never a panic.
-        let mut b = bytes.clone();
-        let chunk = v3_chunk_offsets(&bytes, trace.name().len())[3];
-        b[chunk + 10] |= 0x80;
-        assert!(matches!(
-            read_trace(&mut b.as_slice()),
-            Err(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
-        ));
-    }
-
-    #[test]
-    fn explicit_worker_fan_out_is_bit_identical_and_blames_the_earliest_chunk() {
-        // `decode_workers` is capped by the host's parallelism (1 on a
-        // single-core runner), so drive the fan-out with explicit worker
-        // counts: every count must reproduce the streaming decode bit for
-        // bit, including the trailing partial chunk.
-        let trace = sample(6 * CHUNK_RECORDS + 123);
-        let bytes = encode(&trace);
-        for workers in [2usize, 3, 8] {
-            let decoded = read_trace_bytes_parallel(&bytes, workers).expect("parallel decode");
-            assert_eq!(decoded, trace, "{workers} workers");
-        }
-
-        // Corrupt two chunks so different worker groups each hit an error:
-        // the fan-out must blame the *earliest* corrupt chunk, exactly as
-        // the streaming reader does.
+        // Corrupt two chunks, each with its own typed error: the reader
+        // must blame the earlier one, after delivering every chunk before it.
         let offsets = v3_chunk_offsets(&bytes, trace.name().len());
         let mut b = bytes.clone();
         b[offsets[2] + 10] |= 0x80;
-        b[offsets[4] + 10] |= 0x80;
-        let serial = {
-            let mut reader = ChunkedTraceReader::new(b.as_slice()).expect("header intact");
-            let mut records = Vec::new();
-            loop {
-                match reader.next_chunk_into_borrowed(&mut records) {
-                    Ok(0) => unreachable!("streaming decode must hit the corrupt chunk"),
-                    Ok(_) => {}
-                    Err(e) => break e,
-                }
+        b[offsets[4] + 4..offsets[4] + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            decode(&b),
+            Err(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
+        ));
+        std::fs::write(&path, &b).expect("plant corrupt file");
+        let mut source = TraceFileSource::open(&path, None).expect("header intact");
+        let mut delivered = 0;
+        loop {
+            let chunk = source.next_chunk();
+            if chunk.is_empty() {
+                break;
             }
-        };
-        for workers in [2usize, 3, 8] {
-            let parallel = read_trace_bytes_parallel(&b, workers).expect_err("corrupt chunk");
-            assert_eq!(
-                format!("{parallel:?}"),
-                format!("{serial:?}"),
-                "{workers} workers"
-            );
+            delivered += chunk.len();
         }
+        assert_eq!(
+            delivered,
+            2 * CHUNK_RECORDS,
+            "chunks before the first corrupt one"
+        );
+        assert!(matches!(
+            source.fault(),
+            Some(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_trace_and_a_cursor_save_write_identical_files() {
+        let dir =
+            std::env::temp_dir().join(format!("rescache-codec-cursor-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let trace = sample(2 * CHUNK_RECORDS + 77);
+        let saved = dir.join("saved.rctrace");
+        save_trace(&saved, &trace).expect("save_trace");
+        let streamed = dir.join("cursor.rctrace");
+        save_source_with(&streamed, &mut trace.cursor(), &IoPolicy::none()).expect("cursor save");
+        let saved = std::fs::read(&saved).expect("saved bytes");
+        assert_eq!(saved, std::fs::read(&streamed).expect("cursor bytes"));
+        assert_eq!(saved, encode(&trace), "files match the in-memory writer");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1582,7 +1289,7 @@ mod tests {
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bytes.extend_from_slice(payload);
         assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
+            decode(&bytes),
             Err(CodecError::BadPayload(CorruptChunk::DeltaOutOfRange))
         ));
     }
@@ -1619,7 +1326,7 @@ mod tests {
         assert_eq!(records, &trace.records()[..n]);
         // ...while the full read reports the corruption typed.
         assert!(matches!(
-            load_trace(&path),
+            decode(&bytes),
             Err(CodecError::BadChunkBytes { .. })
         ));
 

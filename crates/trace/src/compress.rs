@@ -4,9 +4,8 @@
 //! Each chunk compresses independently — the delta bases reset at every
 //! chunk boundary — so the store's chunk-granular properties survive
 //! compression unchanged: streaming replay decodes one chunk at a time,
-//! prefix serving never reads past the chunk that covers the request, a
-//! corrupt chunk poisons only itself, and whole-trace loads can decode
-//! chunks on parallel workers.
+//! prefix serving never reads past the chunk that covers the request, and
+//! a corrupt chunk poisons only itself.
 //!
 //! The payload is *sectioned* — three planes, not one interleaved record
 //! stream:
@@ -242,10 +241,10 @@ pub fn encode_chunk(records: &[InstrRecord], out: &mut Vec<u8>) -> Result<(), Un
     Ok(())
 }
 
-/// Decodes exactly `len` records from the compressed payload `bytes`,
-/// appending them to `out`.
+/// Decodes the compressed payload `bytes` into `out`, exactly one record
+/// per slot (`out.len()` is the chunk's record count).
 ///
-/// The output is pre-sized and written through a slice rather than pushed
+/// The output is written through a pre-sized slice rather than pushed
 /// record by record: per-record `Vec` bookkeeping (length and capacity live
 /// wherever the caller's `Vec` header does) measurably perturbed the decode
 /// loop, while slice writes keep the hot state in registers.
@@ -254,25 +253,7 @@ pub fn encode_chunk(records: &[InstrRecord], out: &mut Vec<u8>) -> Result<(), Un
 ///
 /// Returns a [`CorruptChunk`] if the payload is malformed in any way,
 /// including bytes left over after the last record; `out` holds
-/// unspecified extra records on error and must be discarded.
-pub fn decode_chunk(
-    bytes: &[u8],
-    len: usize,
-    out: &mut Vec<InstrRecord>,
-) -> Result<(), CorruptChunk> {
-    let start = out.len();
-    out.resize(start + len, InstrRecord::zeroed());
-    decode_chunk_into(bytes, &mut out[start..])
-}
-
-/// [`decode_chunk`] writing into an exactly-sized slice: one decoded record
-/// per slot. This is the target the parallel whole-trace load path hands
-/// each worker — disjoint sub-slices of the final record vector, one per
-/// chunk, with no per-thread staging.
-///
-/// # Errors
-///
-/// Exactly as [`decode_chunk`]; `out` holds unspecified records on error.
+/// unspecified records on error and must be discarded.
 #[inline(never)]
 pub fn decode_chunk_into(bytes: &[u8], out: &mut [InstrRecord]) -> Result<(), CorruptChunk> {
     // Low-bits mask per field length. Indexed by a 3-bit value so the bounds
@@ -420,9 +401,14 @@ mod tests {
     fn round_trip(records: &[InstrRecord]) -> Vec<InstrRecord> {
         let mut payload = Vec::new();
         encode_chunk(records, &mut payload).expect("encodable");
-        let mut out = Vec::new();
-        decode_chunk(&payload, records.len(), &mut out).expect("decodable");
-        out
+        decode(&payload, records.len()).expect("decodable")
+    }
+
+    /// Decodes a `len`-record payload into a fresh vector.
+    fn decode(bytes: &[u8], len: usize) -> Result<Vec<InstrRecord>, CorruptChunk> {
+        let mut out = vec![InstrRecord::zeroed(); len];
+        decode_chunk_into(bytes, &mut out)?;
+        Ok(out)
     }
 
     /// A hand-assembled single record: layout, head, then raw delta bytes.
@@ -473,9 +459,7 @@ mod tests {
         let mut payload = Vec::new();
         encode_chunk(&[], &mut payload).expect("empty");
         assert!(payload.is_empty());
-        let mut out = Vec::new();
-        decode_chunk(&[], 0, &mut out).expect("empty");
-        assert!(out.is_empty());
+        assert!(decode(&[], 0).expect("empty").is_empty());
     }
 
     #[test]
@@ -507,8 +491,7 @@ mod tests {
         // Every proper prefix fails typed — mid-head, mid-delta, missing
         // final record alike — and never panics.
         for cut in 0..payload.len() {
-            let mut out = Vec::new();
-            let err = decode_chunk(&payload[..cut], records.len(), &mut out).unwrap_err();
+            let err = decode(&payload[..cut], records.len()).unwrap_err();
             assert!(matches!(err, CorruptChunk::Truncated), "cut {cut}: {err:?}");
         }
     }
@@ -519,9 +502,8 @@ mod tests {
         let mut payload = Vec::new();
         encode_chunk(&records, &mut payload).expect("encodable");
         payload.push(0);
-        let mut out = Vec::new();
         assert_eq!(
-            decode_chunk(&payload, records.len(), &mut out),
+            decode(&payload, records.len()),
             Err(CorruptChunk::TrailingBytes { extra: 1 })
         );
     }
@@ -529,9 +511,8 @@ mod tests {
     #[test]
     fn bad_head_bits_are_a_typed_error() {
         for head in [0x8000u16, 0x0006, 0x0007, 0x8005] {
-            let mut out = Vec::new();
             assert_eq!(
-                decode_chunk(&raw_record(0, head, &[]), 1, &mut out),
+                decode(&raw_record(0, head, &[]), 1),
                 Err(CorruptChunk::BadHead { head }),
                 "{head:#06x}"
             );
@@ -554,9 +535,8 @@ mod tests {
             // Address bytes declared on a non-memory record.
             (0x08, 0, &[1][..]),
         ] {
-            let mut out = Vec::new();
             assert_eq!(
-                decode_chunk(&raw_record(layout, head, deltas), 1, &mut out),
+                decode(&raw_record(layout, head, deltas), 1),
                 Err(CorruptChunk::BadLayout { layout }),
                 "layout {layout:#04x}"
             );
@@ -567,16 +547,14 @@ mod tests {
     fn out_of_range_delta_is_a_typed_error() {
         // A negative PC delta from the zero base: the "bad delta base" case
         // a corrupted or resequenced chunk produces.
-        let mut out = Vec::new();
         assert_eq!(
-            decode_chunk(&raw_record(0x01, 0, &[zigzag(-1) as u8]), 1, &mut out),
+            decode(&raw_record(0x01, 0, &[zigzag(-1) as u8]), 1),
             Err(CorruptChunk::DeltaOutOfRange)
         );
         // A delta overshooting u32::MAX likewise.
         let zz = zigzag(i64::from(u32::MAX) + 1).to_le_bytes();
-        let mut out = Vec::new();
         assert_eq!(
-            decode_chunk(&raw_record(0x05, 0, &zz[..5]), 1, &mut out),
+            decode(&raw_record(0x05, 0, &zz[..5]), 1),
             Err(CorruptChunk::DeltaOutOfRange)
         );
     }
@@ -586,8 +564,7 @@ mod tests {
         // The encoder always emits minimal fields, but the decoder accepts
         // padded ones — the layout byte, not minimality, is the contract.
         let payload = raw_record(0x02, 0, &[0x08, 0x00]); // pc delta +4 in 2 bytes
-        let mut out = Vec::new();
-        decode_chunk(&payload, 1, &mut out).expect("padded field");
+        let out = decode(&payload, 1).expect("padded field");
         assert_eq!(out, [InstrRecord::new(4, Op::Int)]);
     }
 

@@ -73,7 +73,7 @@ pub mod workload;
 pub use address::AddressStream;
 pub use branch::BranchBehavior;
 pub use code::CodeStream;
-pub use codec::{ChunkedTraceReader, CodecError, CorruptChunk, TraceFileSource, UnencodableRecord};
+pub use codec::{CodecError, CorruptChunk, TraceFileSource, UnencodableRecord};
 pub use faults::{
     is_disk_full, is_transient, FaultInjector, FaultKind, FaultSpec, IoOp, IoPolicy, ScriptedFault,
 };

@@ -21,7 +21,9 @@
 
 use std::path::PathBuf;
 
-use rescache_trace::{codec, InstrRecord, TraceFormat, TraceGenerator, WorkloadRegistry};
+use rescache_trace::{
+    codec, InstrRecord, TraceFileSource, TraceFormat, TraceGenerator, TraceSource, WorkloadRegistry,
+};
 
 /// Length of every fixture trace: 1000 records.
 const FIXTURE_RECORDS: usize = 1000;
@@ -122,9 +124,22 @@ fn golden_fixtures_pin_generator_and_codec_bytes() {
         );
 
         // The fixture decodes, and the header carries the right identity.
-        let decoded = codec::read_trace(&mut committed.as_slice())
-            .unwrap_or_else(|e| panic!("{workload}: fixture failed to decode: {e}"));
-        assert_eq!(decoded.name(), workload);
-        assert_eq!(decoded.len(), FIXTURE_RECORDS);
+        let mut source = TraceFileSource::open(&path, None)
+            .unwrap_or_else(|e| panic!("{workload}: fixture header failed to decode: {e}"));
+        assert_eq!(source.name(), workload);
+        let mut decoded = 0;
+        loop {
+            let chunk = source.next_chunk();
+            if chunk.is_empty() {
+                break;
+            }
+            decoded += chunk.len();
+        }
+        assert!(
+            source.fault().is_none(),
+            "{workload}: fixture failed to decode: {:?}",
+            source.fault()
+        );
+        assert_eq!(decoded, FIXTURE_RECORDS);
     }
 }

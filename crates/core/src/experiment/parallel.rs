@@ -1,9 +1,17 @@
 //! A small work-stealing helper used to fan experiment runs out over the
 //! available cores (the figure sweeps run thousands of independent
-//! simulations).
+//! simulations). Only the outermost of nested calls fans out; see
+//! [`parallel_map`].
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+thread_local! {
+    /// Set on `parallel_map`'s worker threads; a nested call that sees it
+    /// runs serially instead of spawning another scope.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Upper bound on the resolved worker count: `RESCACHE_THREADS` values above
 /// this clamp down to it. Spawning thousands of scoped threads only adds
@@ -81,10 +89,13 @@ pub fn effective_workers() -> usize {
 /// result storage; with per-worker buffers the only shared write is the
 /// atomic item counter.
 ///
-/// Calls nest safely (the figure drivers parallelize over applications while
-/// the runner parallelizes over configuration points): each call owns its
-/// worker scope, and a nested call simply adds threads that the OS scheduler
-/// multiplexes over the same cores.
+/// Calls nest (the figure drivers map over applications while the runner maps
+/// over configuration points), but only one level fans out: a call made from
+/// inside a worker's closure maps its items inline on that worker. The
+/// outermost call therefore bounds the whole sweep at [`effective_workers`]
+/// threads, and every thread it spawns is joined before it returns. A
+/// top-level call with a single item runs inline on the caller, so its
+/// closure's own nested call still fans out.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -95,7 +106,7 @@ where
         return Vec::new();
     }
     let workers = effective_workers().min(items.len());
-    if workers <= 1 {
+    if workers <= 1 || IN_WORKER.with(Cell::get) {
         return items.iter().map(f).collect();
     }
 
@@ -106,6 +117,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    IN_WORKER.with(|marker| marker.set(true));
                     let mut local: Vec<(usize, R)> = Vec::new();
                     loop {
                         let index = next.fetch_add(1, Ordering::Relaxed);
@@ -137,6 +149,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn preserves_order() {
@@ -218,14 +231,31 @@ mod tests {
 
     #[test]
     fn nested_calls_complete() {
+        // Nested calls run inline on the outer call's workers, so every inner
+        // closure call lands on one of at most `effective_workers()` threads.
+        let inner_threads = std::sync::Mutex::new(HashSet::new());
         let outer: Vec<u64> = (0..8).collect();
         let out = parallel_map(&outer, |x| {
             let inner: Vec<u64> = (0..4).collect();
-            parallel_map(&inner, |y| x * 10 + y)
-                .into_iter()
-                .sum::<u64>()
+            parallel_map(&inner, |y| {
+                inner_threads
+                    .lock()
+                    .expect("no test closure panics")
+                    .insert(std::thread::current().id());
+                x * 10 + y
+            })
+            .into_iter()
+            .sum::<u64>()
         });
         assert_eq!(out[1], 10 + 11 + 12 + 13);
         assert_eq!(out.len(), 8);
+        assert_eq!(out, (0..8).map(|x| 40 * x + 6).collect::<Vec<_>>());
+        let threads = inner_threads.into_inner().expect("no test closure panics");
+        assert!(
+            threads.len() <= effective_workers(),
+            "{} threads ran inner closures, effective_workers() is {}",
+            threads.len(),
+            effective_workers()
+        );
     }
 }

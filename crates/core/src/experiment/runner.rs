@@ -756,9 +756,10 @@ impl Runner {
         let base = self.run_static(app, system, None, None, 0, 0);
 
         // Every point replays the same shared trace on an independent
-        // hierarchy, so the static search fans out over the available cores
-        // (the outer per-application loops of the figure drivers compose with
-        // this: the work-stealing pool is per `parallel_map` call).
+        // hierarchy, so a direct call fans the points out over the available
+        // cores. Called from a figure driver's per-application `parallel_map`,
+        // this map runs inline on that worker, so the sweep keeps one level
+        // of threads.
         let evaluated: Vec<(CachePoint, Measurement)> = parallel_map(space.points(), |point| {
             let measurement = match side {
                 ResizableCacheSide::Data => {
@@ -865,7 +866,8 @@ impl Runner {
             size_bounds,
         );
         // Parameter candidates are independent simulations over the shared
-        // trace; sweep them in parallel like the static points.
+        // trace; sweep them in parallel like the static points (inline when
+        // a figure driver already fans out over applications).
         let candidates: Vec<(DynamicParams, Measurement)> = parallel_map(&params, |p| {
             let mut setup = RunSetup {
                 dynamic: Some((side, space.clone(), *p)),

@@ -430,6 +430,7 @@ pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rescache_testutil::{check_cases, TestRng};
 
     #[test]
     fn parses_scalars() {
@@ -535,5 +536,153 @@ mod tests {
         // Control characters render as escapes that parse back.
         let s = Json::Str("\u{0007}".into());
         assert_eq!(Json::parse(&s.render()).unwrap(), s);
+    }
+
+    /// Characters the string generator draws from: plain ASCII, every escape
+    /// the renderer emits, raw control characters, BMP non-ASCII and astral
+    /// (surrogate-pair) characters.
+    const CHAR_POOL: &[char] = &[
+        'a',
+        'Z',
+        '0',
+        ' ',
+        '"',
+        '\\',
+        '/',
+        '\n',
+        '\r',
+        '\t',
+        '\u{0}',
+        '\u{1}',
+        '\u{8}',
+        '\u{c}',
+        '\u{1f}',
+        '\u{7f}',
+        'é',
+        '\u{2028}',
+        '\u{fffd}',
+        '\u{ffff}',
+        '😀',
+        '\u{10000}',
+        '\u{10ffff}',
+    ];
+
+    /// A finite number from one of the shapes that stress the renderer:
+    /// signed zeros, integers, extreme exponents, subnormals and arbitrary
+    /// bit patterns.
+    fn gen_number(rng: &mut TestRng) -> f64 {
+        match rng.below(6) {
+            0 => [0.0, -0.0, 1.0, -1.0, 0.1][rng.below_usize(5)],
+            1 => rng.range(0, 1 << 53) as f64 * if rng.bool() { 1.0 } else { -1.0 },
+            2 => [f64::MAX, f64::MIN, f64::MIN_POSITIVE, -f64::MIN_POSITIVE][rng.below_usize(4)],
+            3 => f64::from_bits(rng.below(1 << 52)), // zero or subnormal
+            4 => rng.f64_range(-1e6, 1e6),
+            _ => loop {
+                let n = f64::from_bits(rng.next_u64());
+                if n.is_finite() {
+                    break n;
+                }
+            },
+        }
+    }
+
+    fn gen_string(rng: &mut TestRng) -> String {
+        let len = rng.below_usize(12);
+        (0..len)
+            .map(|_| CHAR_POOL[rng.below_usize(CHAR_POOL.len())])
+            .collect()
+    }
+
+    fn gen_value(rng: &mut TestRng, depth: usize) -> Json {
+        let leaf = depth >= 4 || rng.chance(0.4);
+        match rng.below(if leaf { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.bool()),
+            2 => Json::Num(gen_number(rng)),
+            3 => Json::Str(gen_string(rng)),
+            4 => {
+                let len = rng.below_usize(5);
+                Json::Arr(rng.vec_of(len, |r| gen_value(r, depth + 1)))
+            }
+            _ => {
+                let len = rng.below_usize(5);
+                Json::Obj(rng.vec_of(len, |r| (gen_string(r), gen_value(r, depth + 1))))
+            }
+        }
+    }
+
+    /// Structural equality that also tells `-0.0` from `0.0` (the derived
+    /// `PartialEq` compares numbers with `==`, which does not).
+    fn identical(a: &Json, b: &Json) -> bool {
+        match (a, b) {
+            (Json::Num(x), Json::Num(y)) => x.to_bits() == y.to_bits(),
+            (Json::Arr(xs), Json::Arr(ys)) => {
+                xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| identical(x, y))
+            }
+            (Json::Obj(xs), Json::Obj(ys)) => {
+                xs.len() == ys.len()
+                    && xs
+                        .iter()
+                        .zip(ys)
+                        .all(|((kx, x), (ky, y))| kx == ky && identical(x, y))
+            }
+            _ => a == b,
+        }
+    }
+
+    #[test]
+    fn generated_values_round_trip_bit_exactly() {
+        check_cases(4000, |rng| {
+            let value = gen_value(rng, 0);
+            let line = value.render();
+            assert!(!line.contains('\n'), "render emits one line: {line:?}");
+            let parsed = Json::parse(&line).unwrap_or_else(|e| panic!("{e} in {line:?}"));
+            assert!(identical(&parsed, &value), "{line:?} parsed to {parsed:?}");
+        });
+    }
+
+    /// Parses `input` and checks the outcome is one of the two allowed ones:
+    /// a value that survives its own round trip, or a typed error pointing
+    /// inside the input.
+    fn assert_total(input: &str) {
+        match Json::parse(input) {
+            Ok(value) => {
+                let again = Json::parse(&value.render()).expect("an accepted value re-parses");
+                assert!(identical(&again, &value), "{input:?}");
+            }
+            Err(err) => {
+                assert!(err.at <= input.len(), "{err} past the end of {input:?}");
+                assert!(!err.msg.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn random_and_mutated_bytes_parse_or_fail_typed() {
+        const STRUCTURAL: &[u8] = b"[{\"\\,:";
+        check_cases(4000, |rng| {
+            let mut bytes = if rng.chance(0.2) {
+                let len = rng.below_usize(64);
+                rng.vec_of(len, |r| r.below(256) as u8)
+            } else {
+                gen_value(rng, 0).render().into_bytes()
+            };
+            for _ in 0..rng.range(1, 4) {
+                let at = rng.below_usize(bytes.len() + 1);
+                match rng.below(3) {
+                    0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
+                    1 => bytes.truncate(at),
+                    _ => bytes.insert(at, STRUCTURAL[rng.below_usize(STRUCTURAL.len())]),
+                }
+            }
+            assert_total(&String::from_utf8_lossy(&bytes));
+        });
+    }
+
+    #[test]
+    fn adversarial_nesting_hits_the_depth_cap() {
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.msg, "nesting too deep");
+        assert_eq!(err.at, MAX_DEPTH + 1);
     }
 }

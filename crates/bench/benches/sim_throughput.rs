@@ -15,10 +15,9 @@
 //! write the `.quick.json` sibling — the committed full-run trajectory file
 //! is never touched in quick mode.
 //!
-//! The store-backed stages (`trace_store_load`, `dyn_streamed`,
-//! `sweep_service_multiproc`) exercise the persistent-store path and
-//! therefore need `RESCACHE_TRACE_DIR`;
-//! when it is not set they are skipped — recorded in the JSON with
+//! The store-backed stages (`trace_store_load`, `dyn_streamed`) exercise
+//! the persistent-store path and therefore need `RESCACHE_TRACE_DIR`; when
+//! it is not set they are skipped — recorded in the JSON with
 //! `"status": "skipped"` — rather than silently writing into a fabricated
 //! temp directory or failing. Each run uses (and removes) a
 //! `bench-<stage>-<pid>` subdirectory so a real store is never polluted.
@@ -28,8 +27,8 @@ use std::time::Instant;
 use rescache_bench::bench_runner;
 use rescache_cache::{Cache, CacheConfig, HierarchyConfig, MemoryHierarchy, ReplacementPolicy};
 use rescache_core::experiment::{
-    effective_workers, per_app_org_comparison, RunSetup, Runner, RunnerConfig, ServeConfig,
-    StoreHealth, SweepServer, TraceStore,
+    effective_workers, per_app_org_comparison, RunSetup, Runner, RunnerConfig, StoreHealth,
+    TraceStore,
 };
 use rescache_core::{ConfigSpace, DynamicParams, Organization, ResizableCacheSide, SystemConfig};
 use rescache_cpu::{CpuConfig, LatencyStats, Simulator};
@@ -66,14 +65,6 @@ struct EngineResult {
     /// `trace_store_load`, the stage whose whole point is the disk format.
     store_bytes: Option<u64>,
     compression_ratio: Option<f64>,
-    /// Request lines the sweep service answered, and the shared tier's
-    /// result-cache hit rate over the stage (hits + coalesced over all
-    /// lookups); `Some` only for `sweep_service` (one process, one tier)
-    /// and `sweep_service_multiproc` (N server processes sharing a store
-    /// directory, counters aggregated across them), the stages whose whole
-    /// point is serving shared results.
-    requests: Option<u64>,
-    hit_rate: Option<f64>,
     /// Latency-domain counters from the stage's last engine run; `Some`
     /// only for the replacement-policy pair, whose whole point is the
     /// delayed-hit stall profile rather than raw MIPS.
@@ -94,8 +85,6 @@ fn skipped(name: &'static str) -> EngineResult {
         traced: false,
         store_bytes: None,
         compression_ratio: None,
-        requests: None,
-        hit_rate: None,
         latency: None,
     }
 }
@@ -146,8 +135,6 @@ fn measure(
         traced: false,
         store_bytes: None,
         compression_ratio: None,
-        requests: None,
-        hit_rate: None,
         latency: None,
     }
 }
@@ -500,299 +487,10 @@ fn bench_fig5_sweep(scale: u64) -> EngineResult {
     result
 }
 
-/// Opens a bench client connection as a (reader, writer) pair. The clients
-/// pipeline small request lines, so they run with `TCP_NODELAY` like the
-/// server does: no write waits on the previous one's ACK.
-fn connect_client(
-    addr: std::net::SocketAddr,
-) -> (std::io::BufReader<std::net::TcpStream>, std::net::TcpStream) {
-    let stream = std::net::TcpStream::connect(addr).expect("connect bench client");
-    stream.set_nodelay(true).expect("set TCP_NODELAY");
-    let reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
-    (reader, stream)
-}
-
-/// The sweep service end to end: concurrent clients run identical sweeps
-/// against one server over TCP, so almost all of the nominal workload is
-/// served from the shared tier's single-flight memos — that sharing *is*
-/// the feature under test. The stage therefore reports an *equivalent*
-/// MIPS (nominal workload over wall-clock) plus the service's headline
-/// counters: requests answered and the result-cache hit rate.
-fn bench_sweep_service(scale: u64) -> EngineResult {
-    use std::io::{BufRead, Write};
-
-    const CLIENTS: usize = 4;
-    const SWEEPS_PER_CLIENT: usize = 2;
-    let cfg = RunnerConfig {
-        warmup_instructions: (4_000 * scale) as usize,
-        measure_instructions: (12_000 * scale) as usize,
-        trace_seed: 42,
-        dynamic_interval: 1_024,
-        ..RunnerConfig::paper()
-    };
-    // In-memory tier: the stage measures the serving path, not the disk, so
-    // it runs everywhere (no RESCACHE_TRACE_DIR requirement).
-    let store = TraceStore::with_dir(None);
-    let tier = store.tier().clone();
-    let server = SweepServer::bind(
-        Runner::with_store(cfg, store),
-        ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr");
-    let (handle, join) = server.spawn().expect("spawn sweep service");
-
-    let system = SystemConfig::base();
-    let points = ConfigSpace::enumerate(
-        ResizableCacheSide::Data.config_of(&system.hierarchy),
-        Organization::SelectiveSets,
-    )
-    .expect("selective-sets applies to the base d-cache")
-    .points()
-    .len() as u64;
-    // Nominal workload: every sweep's baseline plus one run per point, as
-    // the pre-coalescing service would have simulated them.
-    let per_run = (cfg.warmup_instructions + cfg.measure_instructions) as u64;
-    let nominal = (CLIENTS * SWEEPS_PER_CLIENT) as u64 * (points + 1) * per_run;
-
-    let mut result = measure("sweep_service", nominal, 3, || {
-        std::thread::scope(|scope| {
-            let clients: Vec<_> = (0..CLIENTS)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let (mut reader, mut writer) = connect_client(addr);
-                        let mut served = 0u64;
-                        for _ in 0..SWEEPS_PER_CLIENT {
-                            writeln!(
-                                writer,
-                                r#"{{"req":"sweep","app":"gcc","org":"selective_sets"}}"#
-                            )
-                            .expect("send sweep");
-                            let mut line = String::new();
-                            loop {
-                                line.clear();
-                                let n = reader.read_line(&mut line).expect("read response");
-                                assert!(n > 0, "server closed mid-sweep");
-                                assert!(line.contains("\"ok\":true"), "sweep failed: {line}");
-                                if line.contains("\"kind\":\"done\"") {
-                                    break;
-                                }
-                                served += 1;
-                            }
-                        }
-                        served
-                    })
-                })
-                .collect();
-            clients
-                .into_iter()
-                .map(|c| c.join().expect("bench client"))
-                .sum()
-        })
-    });
-    let health = tier.health_snapshot();
-    result.requests = Some(health.requests);
-    result.hit_rate = health.result_cache_hit_rate();
-    result.nominal_workload = true;
-    result.traced = true;
-    handle.stop();
-    join.join().expect("sweep service drains");
-    result
-}
-
-/// The server process the multi-process stage re-execs this binary into:
-/// binds an ephemeral port over the store directory the parent points
-/// `RESCACHE_TRACE_DIR` at, prints the port on a marker line, and serves
-/// until a client sends `shutdown`.
-fn sweep_service_worker() {
-    use std::io::Write;
-
-    let env_usize = |name: &str, default: usize| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(default)
-    };
-    // Mirrors bench_sweep_service's runner configuration; the parent passes
-    // the scaled region sizes explicitly so every server process keys the
-    // same memo entries.
-    let cfg = RunnerConfig {
-        warmup_instructions: env_usize("RESCACHE_BENCH_SWEEP_WARMUP", 4_000),
-        measure_instructions: env_usize("RESCACHE_BENCH_SWEEP_MEASURE", 12_000),
-        trace_seed: 42,
-        dynamic_interval: 1_024,
-        ..RunnerConfig::paper()
-    };
-    let server = SweepServer::bind(
-        Runner::with_store(cfg, TraceStore::from_env()),
-        ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind worker server");
-    let port = server.local_addr().expect("local addr").port();
-    println!("SWEEP_WORKER_PORT={port}");
-    std::io::stdout().flush().expect("flush port marker");
-    server.serve().expect("worker serves until shutdown");
-}
-
-/// The multi-process face of the sweep service: N independent server
-/// *processes* (re-execs of this binary) share one `RESCACHE_TRACE_DIR`
-/// through the store's entry locks, instead of one in-process tier.
-/// Sharing is shallower here — persisted traces cross process boundaries,
-/// simulation memos do not — so the aggregate result-cache hit rate
-/// measures exactly the single-process-vs-multi-process gap, against
-/// `sweep_service`'s within-run rate.
-fn bench_sweep_service_multiproc(scale: u64) -> EngineResult {
-    use std::io::{BufRead, Write};
-
-    const SERVERS: usize = 2;
-    const CLIENTS_PER_SERVER: usize = 2;
-    const SWEEPS_PER_CLIENT: usize = 2;
-
-    let Some(dir) = store_scratch_dir("sweep-multiproc") else {
-        return skipped("sweep_service_multiproc");
-    };
-    std::fs::create_dir_all(&dir).expect("create multiproc scratch directory");
-    let exe = std::env::current_exe().expect("bench binary path");
-    let mut children = Vec::new();
-    for _ in 0..SERVERS {
-        children.push(
-            std::process::Command::new(&exe)
-                .env("RESCACHE_BENCH_SWEEP_WORKER", "1")
-                .env("RESCACHE_TRACE_DIR", &dir)
-                .env("RESCACHE_BENCH_SWEEP_WARMUP", (4_000 * scale).to_string())
-                .env("RESCACHE_BENCH_SWEEP_MEASURE", (12_000 * scale).to_string())
-                .stdout(std::process::Stdio::piped())
-                .stderr(std::process::Stdio::null())
-                .spawn()
-                .expect("spawn server process"),
-        );
-    }
-    let mut addrs = Vec::new();
-    for child in &mut children {
-        let stdout = child.stdout.take().expect("piped worker stdout");
-        let mut lines = std::io::BufReader::new(stdout).lines();
-        let port = loop {
-            let line = lines
-                .next()
-                .expect("worker prints its port before EOF")
-                .expect("read worker stdout");
-            if let Some(port) = line.strip_prefix("SWEEP_WORKER_PORT=") {
-                break port.trim().parse::<u16>().expect("valid port");
-            }
-        };
-        addrs.push(std::net::SocketAddr::from(([127, 0, 0, 1], port)));
-        // Keep draining the pipe so the child never blocks writing to it.
-        std::thread::spawn(move || for _ in lines {});
-    }
-
-    let system = SystemConfig::base();
-    let points = ConfigSpace::enumerate(
-        ResizableCacheSide::Data.config_of(&system.hierarchy),
-        Organization::SelectiveSets,
-    )
-    .expect("selective-sets applies to the base d-cache")
-    .points()
-    .len() as u64;
-    let per_run = (4_000 + 12_000) * scale;
-    let nominal =
-        (SERVERS * CLIENTS_PER_SERVER * SWEEPS_PER_CLIENT) as u64 * (points + 1) * per_run;
-
-    let run_sweeps = |addr: std::net::SocketAddr| {
-        let (mut reader, mut writer) = connect_client(addr);
-        let mut served = 0u64;
-        for _ in 0..SWEEPS_PER_CLIENT {
-            writeln!(
-                writer,
-                r#"{{"req":"sweep","app":"gcc","org":"selective_sets"}}"#
-            )
-            .expect("send sweep");
-            let mut line = String::new();
-            loop {
-                line.clear();
-                let n = reader.read_line(&mut line).expect("read response");
-                assert!(n > 0, "server closed mid-sweep");
-                assert!(line.contains("\"ok\":true"), "sweep failed: {line}");
-                if line.contains("\"kind\":\"done\"") {
-                    break;
-                }
-                served += 1;
-            }
-        }
-        served
-    };
-    let mut result = measure("sweep_service_multiproc", nominal, 1, || {
-        std::thread::scope(|scope| {
-            let clients: Vec<_> = addrs
-                .iter()
-                .flat_map(|&addr| (0..CLIENTS_PER_SERVER).map(move |_| addr))
-                .map(|addr| scope.spawn(move || run_sweeps(addr)))
-                .collect();
-            clients
-                .into_iter()
-                .map(|c| c.join().expect("bench client"))
-                .sum()
-        })
-    });
-
-    // Aggregate the per-process tier counters through the protocol (the
-    // tiers live in the worker processes) and wind the servers down.
-    let mut hits = 0u64;
-    let mut coalesced = 0u64;
-    let mut misses = 0u64;
-    let mut requests = 0u64;
-    for &addr in &addrs {
-        let (mut reader, mut writer) = connect_client(addr);
-        writeln!(writer, r#"{{"req":"health"}}"#).expect("send health");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read health");
-        let health = rescache_core::json::Json::parse(line.trim_end()).expect("health JSON");
-        let counter = |name: &str| {
-            health
-                .get(name)
-                .and_then(rescache_core::json::Json::as_u64)
-                .unwrap_or(0)
-        };
-        hits += counter("hits");
-        coalesced += counter("coalesced");
-        misses += counter("misses");
-        requests += counter("requests");
-        writeln!(writer, r#"{{"req":"shutdown"}}"#).expect("send shutdown");
-        line.clear();
-        reader.read_line(&mut line).expect("read bye");
-    }
-    for mut child in children {
-        let status = child.wait().expect("worker exits");
-        assert!(
-            status.success(),
-            "worker process exited cleanly: {status:?}"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-
-    result.requests = Some(requests);
-    let lookups = hits + coalesced + misses;
-    result.hit_rate = (lookups > 0).then(|| (hits + coalesced) as f64 / lookups as f64);
-    result.nominal_workload = true;
-    result.traced = true;
-    result
-}
-
 // `results` is deliberately built push by push, not as a `vec![...]`
 // literal — see the comment at its declaration.
 #[allow(clippy::vec_init_then_push)]
 fn main() {
-    // Re-exec mode: the multi-process sweep-service stage spawns this same
-    // binary as its server processes.
-    if std::env::var("RESCACHE_BENCH_SWEEP_WORKER").is_ok() {
-        sweep_service_worker();
-        return;
-    }
     // "0", "false" and the empty string count as unset, so e.g.
     // `RESCACHE_BENCH_QUICK=0` runs the full bench as intended rather than
     // silently selecting quick mode.
@@ -856,8 +554,6 @@ fn main() {
     results.extend(bench_workloads(scale, quick));
     results.extend(bench_policy_pair(scale));
     results.push(bench_fig5_sweep(scale));
-    results.push(bench_sweep_service(scale));
-    results.push(bench_sweep_service_multiproc(scale));
 
     let json = render_json(&results, quick, store_health);
     // Quick (CI smoke) runs record to a sibling file so they never clobber
@@ -882,7 +578,7 @@ fn main() {
 /// carries no serde dependency).
 fn render_json(results: &[EngineResult], quick: bool, health: Option<StoreHealth>) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"rescache-sim-throughput/10\",\n");
+    out.push_str("  \"schema\": \"rescache-sim-throughput/11\",\n");
     out.push_str(&format!("  \"quick\": {quick},\n"));
     // The streamed dynamic stage's shared-tier recovery counters. All-zero
     // with `"degraded": false` on a healthy machine; anything else flags a
@@ -914,12 +610,6 @@ fn render_json(results: &[EngineResult], quick: bool, health: Option<StoreHealth
             trace_format.push_str(&format!(
                 ", \"store_bytes\": {bytes}, \"compression_ratio\": {ratio:.3}"
             ));
-        }
-        if let Some(requests) = r.requests {
-            trace_format.push_str(&format!(", \"requests\": {requests}"));
-        }
-        if let Some(rate) = r.hit_rate {
-            trace_format.push_str(&format!(", \"result_cache_hit_rate\": {rate:.4}"));
         }
         if let Some(lat) = r.latency {
             trace_format.push_str(&format!(

@@ -8,9 +8,10 @@
 //!   beyond those two misses is a `hit` or a `coalesced` in the tier's
 //!   health counters. Likewise N clients running the same sweep share one
 //!   simulation per unique point.
-//! * **Robustness** — malformed, oversized and unserviceable request lines
-//!   get typed `ok:false` responses on a connection that stays usable;
-//!   never a panic, never a silent disconnect.
+//! * **Robustness** — malformed, oversized and unserviceable request lines,
+//!   hand-picked and randomly generated or mutated, get exactly one typed
+//!   response each on a connection that stays usable; never a panic, never
+//!   a silent drop or disconnect.
 //! * **Degradation** — with injected disk faults the service keeps serving
 //!   correct results while the store degrades to in-memory operation.
 //! * **Cancellation** — a `cancel` naming an in-flight sweep (or the client
@@ -24,7 +25,8 @@
 //!   `Runner::run_dynamic` bit-for-bit.
 //! * **Multi-process** — N server *processes* sharing one
 //!   `RESCACHE_TRACE_DIR` share trace generation through the store's entry
-//!   locks and agree bit-for-bit.
+//!   locks and agree bit-for-bit; their aggregate result-cache hit rate lies
+//!   strictly between 0 and 1, since simulation memos stay per-process.
 //! * **Shutdown** — a `shutdown` request drains the server cleanly, even
 //!   when the server was bound to a wildcard address with no clients.
 
@@ -33,7 +35,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use rescache::prelude::*;
-use rescache_core::experiment::{RunSetup, ServeConfig, SharedTier, SweepServer};
+use rescache_core::experiment::{RunSetup, ServeConfig, SharedTier, StoreHealth, SweepServer};
 use rescache_core::json::Json;
 use rescache_trace::{FaultInjector, FaultSpec, IoPolicy};
 
@@ -285,6 +287,91 @@ fn malformed_and_oversized_lines_get_typed_errors_and_the_connection_survives() 
     assert!(is_ok(&pong), "{pong:?}");
     assert_eq!(kind(&pong), "pong");
     assert_eq!(pong.get("id").and_then(Json::as_u64), Some(9));
+
+    // Randomized phase on the same connection: random bytes, or request
+    // lines mutated by bit flips, truncations and inserted JSON
+    // punctuation. Each line is followed by a ping fence; exactly one typed
+    // response (none for a blank line) must arrive before the fence's pong.
+    let system = SystemConfig::base();
+    let templates = [
+        r#"{"req":"ping","id":1}"#.to_string(),
+        r#"{"req":"health","id":"h"}"#.to_string(),
+        format!(
+            r#"{{"req":"point","id":2,"app":"ammp","sets":{},"ways":{}}}"#,
+            system.hierarchy.l1d.num_sets(),
+            system.hierarchy.l1d.associativity
+        ),
+        r#"{"req":"point","id":3,"app":"gcc","org":"selective_ways","side":"data"}"#.to_string(),
+        r#"{"req":"cancel","id":4}"#.to_string(),
+        r#"{"req":"frobnicate","id":[5,{"x":null}]}"#.to_string(),
+    ];
+    let mut fuzzed = 0u64;
+    rescache_testutil::check_cases(1_500, |rng| {
+        let mut bytes = if rng.chance(0.25) {
+            let len = rng.below_usize(64);
+            rng.vec_of(len, |rng| rng.next_u64() as u8)
+        } else {
+            let mut bytes = templates[rng.below_usize(templates.len())]
+                .clone()
+                .into_bytes();
+            // Bit flips mostly keep the line parseable, so they get half
+            // the draws: the fuzz should reach the verbs, not only the parser.
+            for _ in 0..rng.range(1, 3) {
+                match rng.below(4) {
+                    0 | 1 if !bytes.is_empty() => {
+                        let i = rng.below_usize(bytes.len());
+                        bytes[i] ^= 1 << rng.below(8);
+                    }
+                    2 => bytes.truncate(rng.below_usize(bytes.len() + 1)),
+                    _ => {
+                        let i = rng.below_usize(bytes.len() + 1);
+                        bytes.insert(i, b"{[\"\\,:"[rng.below_usize(6)]);
+                    }
+                }
+            }
+            bytes
+        };
+        for b in &mut bytes {
+            if *b == b'\n' {
+                *b = b' ';
+            }
+        }
+        // The server reads the line exactly like this.
+        let line = String::from_utf8_lossy(&bytes).into_owned();
+        let verb = Json::parse(&line)
+            .ok()
+            .and_then(|request| request.get("req").and_then(Json::as_str).map(String::from));
+        if matches!(verb.as_deref(), Some("sweep" | "dynamic" | "shutdown")) {
+            return; // legitimately multi-line, or ends the server
+        }
+        fuzzed += 1;
+        bytes.push(b'\n');
+        client.writer.write_all(&bytes).expect("send mutant");
+        let fence = format!("fence-{fuzzed}");
+        client.send(&format!(r#"{{"req":"ping","id":"{fence}"}}"#));
+        let mut responses = Vec::new();
+        loop {
+            let response = client.recv();
+            if kind(&response) == "pong"
+                && response.get("id").and_then(Json::as_str) == Some(fence.as_str())
+            {
+                break;
+            }
+            responses.push(response);
+        }
+        let expected = usize::from(!line.trim().is_empty());
+        assert_eq!(responses.len(), expected, "{line:?} -> {responses:?}");
+        for response in &responses {
+            assert!(matches!(response, Json::Obj(_)), "{line:?} -> {response:?}");
+            let typed = match response.get("ok").and_then(Json::as_bool) {
+                Some(true) => true,
+                Some(false) => response.get("error").and_then(Json::as_str).is_some(),
+                None => false,
+            };
+            assert!(typed, "{line:?} -> untyped response {response:?}");
+        }
+    });
+    assert!(fuzzed > 1_000, "most cases reached the server: {fuzzed}");
 
     handle.stop();
     join.join().expect("server thread exits cleanly");
@@ -854,6 +941,7 @@ fn multi_process_servers_share_one_store() {
     let points = selective_sets_points();
     let mut per_process_cycles = Vec::new();
     let mut aggregate = (0u64, 0u64, 0u64); // (hits, coalesced, misses)
+    let mut requests = 0u64;
     for &addr in &addrs {
         let mut client = Client::connect(addr);
         client.send(r#"{"req":"sweep","id":1,"app":"ammp","org":"selective_sets"}"#);
@@ -887,6 +975,7 @@ fn multi_process_servers_share_one_store() {
         aggregate.0 += counter("hits");
         aggregate.1 += counter("coalesced");
         aggregate.2 += counter("misses");
+        requests += counter("requests");
 
         let bye = client.request(r#"{"req":"shutdown"}"#);
         assert_eq!(kind(&bye), "bye");
@@ -907,6 +996,26 @@ fn multi_process_servers_share_one_store() {
     assert!(
         hits + coalesced > 0,
         "cross-process reuse is visible in the health counters: {aggregate:?}"
+    );
+    assert!(
+        requests >= 1,
+        "the servers counted their requests: {requests}"
+    );
+    // Two processes share on-disk traces but not in-memory simulation
+    // memos, so the aggregate rate (the library's own formula over the
+    // summed counters) shows sharing yet stays below 1.
+    let rate = StoreHealth {
+        hits,
+        coalesced,
+        misses,
+        ..Default::default()
+    }
+    .result_cache_hit_rate()
+    .expect("lookups happened");
+    eprintln!("multi-process aggregate result_cache_hit_rate = {rate:.4}");
+    assert!(
+        rate > 0.0 && rate < 1.0,
+        "aggregate hit rate {rate} shows sharing but no cross-process memo: {aggregate:?}"
     );
 
     for worker in &mut workers {
